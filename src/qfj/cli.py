@@ -382,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ordered pairings, their weights, and the weighted sum")
     p.add_argument("--n", type=int, default=3, help="number of pairs (default 3)")
     p.add_argument("--list", action="store_true", help="emit one record per pairing")
-    p.add_argument("--sum", action="store_true",
-                   help="emit the weighted sum records (default behavior)")
     p.set_defaults(func=_cmd_pairings)
 
     p = sub.add_parser("series", parents=[shared],

@@ -17,7 +17,8 @@ from typing import Mapping
 import mpmath as mp
 
 from .errors import DomainError
-from .qcalc import DEFAULT_POLICY, TruncationPolicy, E_q, jackson_integral_symmetric
+from .qcalc import (DEFAULT_POLICY, TruncationPolicy, E_q, _entire_sum,
+                    jackson_integral_symmetric)
 from .qcore import (QParam, QScalar, as_fraction, binomial, q_bracket,
                     q_double_factorial, q_factorial, q_squared_factorial)
 from .qgauss import _interchanged_c_mp, c_of_q, nu
@@ -318,22 +319,7 @@ def _fj_numeric_mp(g, q: QParam, trunc: TruncationPolicy, dps: int):
         else:
             gm = mp.mpf(g)
         e_cutoff = mp.mpf(10) ** (-(dps + 25))
-
-        def entire_exp(u):
-            term = mp.mpf(1)
-            total = mp.mpf(0)
-            bracket = mp.mpf(0)
-            power = mp.mpf(1)
-            qpow = mp.mpf(1)
-            for n in range(trunc.max_terms):
-                total += term
-                if n >= 1 and abs(term) <= e_cutoff * max(abs(total), mp.mpf(1)):
-                    break
-                bracket += power
-                power *= q_sq
-                term = term * qpow * u / bracket
-                qpow *= q_sq
-            return total
+        entire_sum = lambda u: _entire_sum(u, q_sq, trunc.max_terms, e_cutoff, 1)
 
         total = mp.mpf(0)
         weight = mp.mpf(1)
@@ -343,8 +329,8 @@ def _fj_numeric_mp(g, q: QParam, trunc: TruncationPolicy, dps: int):
             x_sq = x * x
             even_part = -q_sq * x_sq / bracket2
             odd_part = gm * x * x_sq / fact3
-            term = weight * (entire_exp(even_part + odd_part)
-                             + entire_exp(even_part - odd_part))
+            term = weight * (entire_sum(even_part + odd_part)
+                             + entire_sum(even_part - odd_part))
             total += term
             if m_idx >= 2 and abs(term) <= node_cutoff * abs(total):
                 break

@@ -18,12 +18,13 @@ from typing import Callable, Union
 
 import mpmath as mp
 
-from .errors import DivergenceError, DomainError, EvaluationError
-from .qcore import QParam, as_fraction
+from .errors import DivergenceError, DomainError, EvaluationError, TruncationError
+from .qcore import QParam, QPolynomial, as_fraction
 
 Real = Union[int, Fraction, float]
 
 _MIN_FLOAT = 1e-300  # guards relative-size tests against a zero running sum
+_SCAN_LIMIT = 200_000  # longest log-magnitude scan behind a TruncationError hint
 
 
 @dataclass(frozen=True)
@@ -81,114 +82,9 @@ class QuadratureResult:
         return float(self.value)
 
 
-@dataclass(frozen=True, eq=False)
-class XPoly:
-    """Polynomial in the integration variable x with exact rational coefficients.
+XPoly = QPolynomial  # integrand polynomials in x share the dense exact class
 
-    Used as an integrand type: callers get exact closed-form Jackson integrals
-    and exact q-derivatives instead of node sums.
-    """
-
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(as_fraction(c, "coefficient") for c in self.coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @classmethod
-    def monomial(cls, exponent: int, coefficient=1) -> "XPoly":
-        if exponent < 0:
-            raise DomainError("monomial exponent must be non-negative")
-        return cls((Fraction(0),) * exponent + (as_fraction(coefficient),))
-
-    @classmethod
-    def constant(cls, value) -> "XPoly":
-        return cls((as_fraction(value),))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coefficients):
-            return self.coefficients[i]
-        return Fraction(0)
-
-    def __call__(self, x):
-        if not self.coefficients:
-            return 0.0 if isinstance(x, float) else Fraction(0)
-        if isinstance(x, float):
-            acc = float(self.coefficients[-1])
-            for c in reversed(self.coefficients[:-1]):
-                acc = acc * x + float(c)
-            return acc
-        acc = self.coefficients[-1]
-        for c in reversed(self.coefficients[:-1]):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other):
-        if not isinstance(other, XPoly):
-            other = XPoly.constant(other)
-        n = max(len(self.coefficients), len(other.coefficients))
-        return XPoly(tuple(self.coefficient(i) + other.coefficient(i) for i in range(n)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return XPoly(tuple(-c for c in self.coefficients))
-
-    def __sub__(self, other):
-        if not isinstance(other, XPoly):
-            other = XPoly.constant(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, XPoly):
-            other = XPoly.constant(other)
-        if not self.coefficients or not other.coefficients:
-            return XPoly(())
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return XPoly(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, XPoly):
-            return self.coefficients == other.coefficients
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coefficients)
-
-    def reflect(self) -> "XPoly":
-        """x -> -x."""
-        return XPoly(tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.coefficients)))
-
-    def scale_argument(self, factor) -> "XPoly":
-        """x -> factor * x, exactly."""
-        f = as_fraction(factor, "scale factor")
-        return XPoly(tuple(c * f ** i for i, c in enumerate(self.coefficients)))
-
-    def q_derivative(self, q: QParam) -> "XPoly":
-        """Exact q-derivative: x^t maps to [t]_q x^(t-1)."""
-        qv = q.value
-        out = []
-        bracket = Fraction(0)
-        power = Fraction(1)
-        for t in range(1, len(self.coefficients)):
-            bracket += power          # [t]_q accumulated as 1 + q + ... + q^(t-1)
-            power *= qv
-            out.append(self.coefficients[t] * bracket)
-        return XPoly(tuple(out))
-
-
-RealFunction = Union[Callable[[Real], Real], XPoly]
+RealFunction = Union[Callable[[Real], Real], QPolynomial]
 
 
 def q_derivative(f: RealFunction, x: Real, q: QParam) -> Real:
@@ -199,81 +95,61 @@ def q_derivative(f: RealFunction, x: Real, q: QParam) -> Real:
     return (f(qv * x) - f(x)) / ((qv - 1) * x)
 
 
-def _closed_form_jackson(p: XPoly, b, q: QParam) -> QuadratureResult:
-    # integral of x^t over [0, b] is b^(t+1) / [t+1]_q
+def _closed_form_jackson(p: QPolynomial, b, q: QParam) -> QuadratureResult:
+    # integral of x^t over [0, b] is b^(t+1) / [t+1]_q, in b's arithmetic
     if isinstance(b, float):
-        qf = q.as_float
-        total = 0.0
-        bracket = 0.0
-        power = 1.0
-        bpow = b
-        for t in range(len(p.coefficients)):
-            bracket += power
-            power *= qf
-            total += float(p.coefficients[t]) * bpow / bracket
-            bpow *= b
-        return QuadratureResult(total, 0, 0.0)
-    bq = as_fraction(b, "integration bound")
-    qv = q.value
-    total = Fraction(0)
-    bracket = Fraction(0)
-    power = Fraction(1)
-    bpow = bq
-    for t in range(len(p.coefficients)):
+        qv = q.as_float
+    else:
+        b, qv = as_fraction(b, "integration bound"), q.value
+    total = bracket = b * 0
+    power = 1
+    bpow = b
+    for c in p.coefficients:
         bracket += power
         power *= qv
-        total += p.coefficients[t] * bpow / bracket
-        bpow *= bq
-    return QuadratureResult(total, 0, Fraction(0))
+        total += c * bpow / bracket
+        bpow *= b
+    return QuadratureResult(total, 0, total * 0)
 
 
 def jackson_integral(f: RealFunction, b: Real, q: QParam,
                      trunc: TruncationPolicy = DEFAULT_POLICY) -> QuadratureResult:
     """Truncated Jackson integral (1-q) b sum_n q^n f(q^n b) over [0, b].
 
-    XPoly integrands are integrated in closed form (exact, no truncation).
+    Polynomial integrands are integrated in closed form (exact, no truncation).
     Black-box callables get the node sum: full budget in exact mode, early
     stop on the relative tail tolerance in float mode. A non-finite float
     value at a node raises EvaluationError carrying the node index.
     """
     if not (b > 0):
         raise DomainError(f"integration bound must be positive, got {b!r}")
-    if isinstance(f, XPoly):
+    if isinstance(f, QPolynomial):
         return _closed_form_jackson(f, b, q)
-    if trunc.is_exact:
-        bq = as_fraction(b, "integration bound")
-        qv = q.value
-        total = Fraction(0)
-        weight = Fraction(1)   # q^n
-        x = bq
-        term = Fraction(0)
-        for _ in range(trunc.max_terms):
-            term = weight * as_fraction(f(x), "integrand value")
-            total += term
-            weight *= qv
-            x *= qv
-        scale = (1 - qv) * bq
-        return QuadratureResult(scale * total, trunc.max_terms, abs(scale * term))
-    qf = q.as_float
-    bf = float(b)
+    exact = trunc.is_exact
+    if exact:
+        b, qv = as_fraction(b, "integration bound"), q.value
+    else:
+        b, qv = float(b), q.as_float
     tol = trunc.relative_tail_tolerance
-    total = 0.0
-    weight = 1.0
-    x = bf
-    term = 0.0
+    total = term = b * 0
+    weight = 1         # q^n
+    x = b
     used = 0
     for n in range(trunc.max_terms):
-        v = float(f(x))
-        if not math.isfinite(v):
-            raise EvaluationError(f"integrand returned non-finite value at node {n}", n)
+        if exact:
+            v = as_fraction(f(x), "integrand value")
+        else:
+            v = float(f(x))
+            if not math.isfinite(v):
+                raise EvaluationError(f"integrand returned non-finite value at node {n}", n)
         term = weight * v
         total += term
         used = n + 1
-        if n >= 2 and abs(term) <= tol * max(abs(total), _MIN_FLOAT):
+        if not exact and n >= 2 and abs(term) <= tol * max(abs(total), _MIN_FLOAT):
             break
-        weight *= qf
-        x *= qf
-    scale = (1 - qf) * bf
+        weight *= qv
+        x *= qv
+    scale = (1 - qv) * b
     return QuadratureResult(scale * total, used, abs(scale * term))
 
 
@@ -293,7 +169,7 @@ def jackson_integral_symmetric(f: RealFunction, b: Real, q: QParam,
     if parity == "even":
         half = jackson_integral(f, b, q, trunc)
         return QuadratureResult(2 * half.value, half.terms_used, 2 * half.residual)
-    if isinstance(f, XPoly):
+    if isinstance(f, QPolynomial):
         reflected = f.reflect()
     else:
         reflected = lambda x: f(-x)
@@ -346,83 +222,92 @@ def e_q(x: Real, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY) -> Real:
     return total
 
 
+def _entire_sum(x, p, max_terms: int, tol, floor):
+    """Partial sum of the entire series sum_n p^(n(n-1)/2) x^n / [n]_p!.
+
+    Runs in the arithmetic of x and p (Fraction, float or mpf alike). A term
+    with |term| <= tol * max(|partial sum|, floor) ends the sum; tol = 0 spends
+    the whole budget (a zero threshold could only drop exact zeros).
+    """
+    total = bracket = x * 0
+    term = power = p_power = total + 1      # p_power is p^n
+    for n in range(max_terms):
+        total += term
+        if tol and n >= 1 and abs(term) <= tol * max(abs(total), floor):
+            break
+        bracket += power          # [n+1]_p
+        power *= p
+        term = term * p_power * x / bracket
+        p_power *= p
+    return total
+
+
 def _E_q_float_fallback(x: float, q: QParam, trunc: TruncationPolicy) -> float:
-    """Alternating direct sum in high precision, for arguments where the float
-    reciprocal path is unavailable (x < 0 with |x| at or beyond the e_q radius)."""
+    """Alternating direct sum in high precision, for negative arguments where
+    the float reciprocal path is unavailable (at or beyond the e_q radius, or
+    needing more terms than the budget).
+
+    The sum stops once its terms fall below 1e-45 absolute. If the budget
+    ends first, past the peak the terms alternate and shrink, so the first
+    omitted term bounds the tail; unless that bound is below float
+    resolution of the sum, TruncationError is raised with the needed count.
+    """
     qf = q.as_float
-    # scan term magnitudes in log space to size the working precision
-    peak = 0.0
-    log_term = 0.0
+    budget = trunc.max_terms
+    # scan term magnitudes in log space: the peak sizes the working precision
+    peak = log_term = omitted = 0.0
+    peak_at = 0
     log_q = math.log10(qf)
     log_x = math.log10(abs(x))
     bracket = 0.0
     power = 1.0
-    for n in range(trunc.max_terms):
+    n = 0
+    while log_term >= -45 and n < _SCAN_LIMIT:
         bracket += power
         power *= qf
         log_term += n * log_q + log_x - math.log10(bracket)
-        peak = max(peak, log_term)
-        if log_term < -40:
-            break
+        n += 1                    # log_term is now that of term n
+        if log_term > peak:
+            peak, peak_at = log_term, n
+        if n == budget:
+            omitted = log_term
     with mp.workdps(int(peak) + 45):
         qm = mp.mpf(q.value.numerator) / q.value.denominator
-        xm = mp.mpf(x)
-        term = mp.mpf(1)
-        total = mp.mpf(0)
-        bracket = mp.mpf(0)
-        power = mp.mpf(1)
-        cutoff = mp.mpf(10) ** (-45)
-        for n in range(trunc.max_terms):
-            total += term
-            if n >= 1 and abs(term) < cutoff:
-                break
-            bracket += power
-            power *= qm
-            term = term * qm ** n * xm / bracket
-        return float(total)
+        total = float(_entire_sum(mp.mpf(x), qm, budget, mp.mpf(10) ** (-45), 1))
+    if n >= budget and not (peak_at < budget and total != 0.0
+                            and omitted < math.log10(abs(total)) - 16):
+        hint = f"about {n + 1}" if log_term < -45 else f"more than {_SCAN_LIMIT}"
+        raise TruncationError(
+            f"E_q alternating series at x={x!r}, q={q} needs {hint} terms to "
+            f"converge, budget is {budget}; raise max_terms")
+    return total
 
 
 def E_q(x: Real, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY) -> Real:
     """The entire q-exponential sum_n q^(n(n-1)/2) x^n / [n]_q!.
 
-    Float evaluation at negative arguments uses the inverse identity
-    E_q^x = 1/e_q^(-x) whenever -x lies inside the e_q radius: that route
-    sums positive terms only, so no cancellation. Outside the radius an
-    adaptive high-precision alternating sum takes over.
+    Float evaluation at a negative argument uses the inverse identity
+    E_q^x = 1/e_q^(-x) whenever that series converges within the term
+    budget: it sums positive terms only, so no cancellation. Otherwise an
+    adaptive high-precision alternating sum takes over, accurate to 1e-45
+    absolute, or raising TruncationError when the budget cannot reach that.
     """
     if trunc.is_exact and not isinstance(x, float):
-        xv = as_fraction(x, "argument")
-        qv = q.value
-        term = Fraction(1)
-        total = Fraction(0)
-        bracket = Fraction(0)
-        power = Fraction(1)
-        qpow = Fraction(1)     # q^n
-        for n in range(trunc.max_terms):
-            total += term
-            bracket += power
-            power *= qv
-            term = term * qpow * xv / bracket
-            qpow *= qv
-        return total
+        return _entire_sum(as_fraction(x, "argument"), q.value, trunc.max_terms, 0, 0)
     xf = float(x)
     qf = q.as_float
-    if xf < 0:
-        if abs(xf) * (1 - qf) < 1 - 1e-12:
-            return 1.0 / e_q(-xf, q, trunc)
-        return _E_q_float_fallback(xf, q, trunc)
     tol = trunc.relative_tail_tolerance
-    term = 1.0
-    total = 0.0
-    bracket = 0.0
-    power = 1.0
-    qpow = 1.0
-    for n in range(trunc.max_terms):
-        total += term
-        if n >= 1 and term <= tol * max(total, _MIN_FLOAT):
-            break
-        bracket += power
-        power *= qf
-        term = term * qpow * xf / bracket
-        qpow *= qf
-    return total
+    s = -xf * (1.0 - qf)      # |x| over the e_q radius
+    if 0.0 < s < 1.0:
+        # The reciprocal series grows for ~log(1-s)/log q terms before
+        # decaying at asymptotic rate s; take it only when both phases fit
+        # the term budget, otherwise the divergence heuristic in e_q trips on
+        # the hump or the sum stops short. A zero tolerance stops that float
+        # sum only when its terms underflow.
+        hump = math.log(1.0 - s) / math.log(qf)
+        decay = math.log(max(tol, math.ulp(0.0))) / math.log(s)
+        if 2.0 * hump + decay <= 0.9 * trunc.max_terms:
+            return 1.0 / e_q(-xf, q, trunc)
+    if xf < 0:
+        return _E_q_float_fallback(xf, q, trunc)
+    return _entire_sum(xf, qf, trunc.max_terms, tol, _MIN_FLOAT)

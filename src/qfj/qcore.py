@@ -188,10 +188,13 @@ class QScalar:
 
 @dataclass(frozen=True, eq=False)
 class QPolynomial:
-    """Polynomial in the indeterminate q with exact rational coefficients.
+    """Polynomial with exact rational coefficients, in q or in the
+    integration variable x.
 
-    coefficients[i] is the coefficient of q^i; trailing zeros are stripped so
-    the zero polynomial is the empty tuple.
+    coefficients[i] is the coefficient of the i-th power; trailing zeros are
+    stripped so the zero polynomial is the empty tuple. As a polynomial in x
+    it is an integrand with exact closed-form Jackson integrals and exact
+    q-derivatives; it is callable, like any other integrand.
     """
 
     coefficients: tuple[Fraction, ...]
@@ -302,6 +305,30 @@ class QPolynomial:
         for c in reversed(self.coefficients[:-1]):
             acc = acc * point + c
         return acc
+
+    __call__ = eval
+
+    def reflect(self) -> "QPolynomial":
+        """x -> -x."""
+        return QPolynomial(tuple(c if i % 2 == 0 else -c
+                                 for i, c in enumerate(self.coefficients)))
+
+    def scale_argument(self, factor) -> "QPolynomial":
+        """x -> factor * x, exactly."""
+        f = as_fraction(factor, "scale factor")
+        return QPolynomial(tuple(c * f ** i for i, c in enumerate(self.coefficients)))
+
+    def q_derivative(self, q: QParam) -> "QPolynomial":
+        """Exact q-derivative in x: x^t maps to [t]_q x^(t-1)."""
+        qv = q.value
+        out = []
+        bracket = Fraction(0)
+        power = Fraction(1)
+        for t in range(1, len(self.coefficients)):
+            bracket += power          # [t]_q accumulated as 1 + q + ... + q^(t-1)
+            power *= qv
+            out.append(self.coefficients[t] * bracket)
+        return QPolynomial(tuple(out))
 
     def compose_power(self, k: int) -> "QPolynomial":
         """Substitute q -> q^k at the polynomial level."""

@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import mpmath as mp
 
 from .errors import DomainError, TruncationError
-from .qcalc import (DEFAULT_POLICY, TruncationPolicy, _E_q_float_fallback, e_q,
-                    jackson_integral_symmetric)
+from .qcalc import DEFAULT_POLICY, E_q, TruncationPolicy, jackson_integral_symmetric
 from .qcore import QParam, QScalar, as_fraction, q_double_factorial, QPolynomial
 
 
@@ -50,42 +50,20 @@ def kernel_eval_x2(x_squared, q: QParam,
     """Gaussian kernel as a function of x^2.
 
     The kernel is the entire series sum_n (-1)^n q^(n(n+1)) x^(2n) /
-    ((1+q)^n [n]_{q^2}!). Exact mode sums it directly in rationals. Float mode
-    rewrites it through the inverse identity as 1/e_{q^2}(q^2 x^2 / [2]_q),
-    a positive-term series with no cancellation, valid whenever the argument
-    is inside the e_{q^2} radius (true for every node of the [-nu, nu] grid);
-    beyond that radius a high-precision alternating sum takes over.
+    ((1+q)^n [n]_{q^2}!), that is E_{q^2}(-q^2 x^2 / [2]_q). Exact mode sums
+    it directly in rationals. Float mode goes through E_q's negative-argument
+    route: the reciprocal 1/e_{q^2}(q^2 x^2 / [2]_q), a positive-term series
+    with no cancellation, wherever it converges within the budget (every
+    node of the [-nu, nu] grid lies inside the e_{q^2} radius), and a
+    high-precision alternating sum elsewhere.
     """
+    qv = q.value
     if trunc.is_exact and not isinstance(x_squared, float):
-        x2 = as_fraction(x_squared, "x^2")
-        qv = q.value
-        term = Fraction(1)
-        total = Fraction(0)
-        bracket2 = Fraction(0)   # [n]_{q^2}
-        qq_power = Fraction(1)   # q^(2(n-1)) inside the bracket recurrence
-        for n in range(trunc.max_terms):
-            total += term
-            bracket2 += qq_power
-            qq_power *= qv * qv
-            # term ratio: -q^(2(n+1)) x^2 / ((1+q) [n+1]_{q^2})
-            term = -term * qv ** (2 * (n + 1)) * x2 / ((1 + qv) * bracket2)
-        return total
-    qf = q.as_float
-    x2 = float(x_squared)
-    u = qf * qf * x2 / (1 + qf)
-    if u == 0.0:
-        return 1.0
-    u_scaled = u * (1.0 - qf * qf)
-    if u_scaled < 1.0 - 1e-9:
-        # The reciprocal series grows for ~log(1-u')/(2 log q) terms before
-        # decaying at asymptotic rate u'; take this route only when both
-        # phases fit the term budget, otherwise the divergence heuristic in
-        # e_q trips on the hump.
-        hump = math.log(1.0 - u_scaled) / (2.0 * math.log(qf))
-        decay = math.log(trunc.relative_tail_tolerance) / math.log(u_scaled)
-        if 2.0 * hump + decay <= 0.9 * trunc.max_terms:
-            return 1.0 / e_q(u, QParam(q.value * q.value), trunc)
-    return _E_q_float_fallback(-u, QParam(q.value * q.value), trunc)
+        u = qv * qv * as_fraction(x_squared, "x^2") / (1 + qv)
+    else:
+        qf = q.as_float
+        u = qf * qf * float(x_squared) / (1 + qf)
+    return E_q(-u, QParam(qv * qv), trunc)
 
 
 def kernel_eval(x, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY):
@@ -110,16 +88,15 @@ class NormalizationResult:
 _METHODS = ("double_sum", "interchanged_sum")
 
 
-def _interchanged_terms_exact(qv: Fraction, max_terms: int):
-    """Exact summands of the single-index normalization series (without the
-    leading 2): (-1)^m q^(m(m+1)) / ((1-q^(2m+1)) prod_{j<=m} (1-q^(2j)))."""
-    pochhammer = Fraction(1)
+def _interchanged_terms(qv):
+    """Summands of the single-index normalization series (without the leading
+    2), (-1)^m q^(m(m+1)) / ((1-q^(2m+1)) prod_{j<=m} (1-q^(2j))), in the
+    arithmetic of qv (Fraction or mpf)."""
     q_sq = qv * qv
-    q_sq_pow = Fraction(1)      # q^(2m)
-    q_num = Fraction(1)         # q^(m(m+1))
-    q_odd = qv                  # q^(2m+1)
+    pochhammer = q_sq_pow = q_num = 1   # prod_{j<=m} (1-q^(2j)), q^(2m), q^(m(m+1))
+    q_odd = qv                          # q^(2m+1)
     sign = 1
-    for m in range(max_terms):
+    while True:
         yield sign * q_num / ((1 - q_odd) * pochhammer)
         sign = -sign
         q_sq_pow *= q_sq
@@ -169,22 +146,47 @@ def _interchanged_c_mp(qv: Fraction, max_terms: int, extra_dps: int = 0) -> tupl
     dps = max(30, int(peak) + 60) + extra_dps
     with mp.workdps(dps):
         qm = mp.mpf(qv.numerator) / qv.denominator
-        q_sq = qm * qm
-        pochhammer = mp.mpf(1)
-        q_sq_pow = mp.mpf(1)
-        q_num = mp.mpf(1)
-        q_odd = qm
-        sign = 1
-        total = mp.mpf(0)
-        for m in range(stop):
-            total += sign * q_num / ((1 - q_odd) * pochhammer)
-            sign = -sign
-            q_sq_pow *= q_sq
-            pochhammer *= 1 - q_sq_pow
-            q_num *= q_sq_pow
-            q_odd *= q_sq
+        total = sum(islice(_interchanged_terms(qm), stop))
         c_value = 2 * mp.sqrt(1 - qm) * total
         return +c_value, stop
+
+
+def _node_sum(n: int, q: QParam, trunc: TruncationPolicy):
+    """Jackson node sum of x^(2n) * kernel over [0, nu], without the (1-q) nu
+    node weight: sum_m q^m x_m^(2n) kernel(x_m^2) at x_m^2 = q^(2m) nu^2.
+    Returns (sum, nodes used).
+
+    Exact mode sums the full budget. Float mode stops on the guaranteed
+    envelope bound (kernel at most 1 on the support), tail <= q^m x_m^(2n)
+    d/(1-d) with d = q^(2n+1), not on the last term: near q = 1 the first
+    nodes sit where the kernel is below float resolution, and noise-scale
+    terms would satisfy any relative smallness test long before the true
+    contributions (which grow as the nodes move inward) have been summed.
+    When the budget runs out with that bound above 1e-9 of the sum (a guard
+    deliberately coarser than the stopping tolerance, which would
+    false-alarm near q = 1), it raises TruncationError.
+    """
+    exact = trunc.is_exact
+    qv = q.value if exact else q.as_float
+    decay = qv ** (2 * n + 1)
+    tol = trunc.relative_tail_tolerance
+    total = tail = qv * 0
+    weight = 1
+    x2 = 1 / (1 - qv)
+    for m in range(trunc.max_terms):
+        envelope = weight * x2 ** n
+        total += envelope * kernel_eval_x2(x2, q, trunc)
+        if not exact:
+            tail = envelope * decay / (1 - decay)
+            if m >= 2 and tail <= tol * abs(total):
+                return total, m + 1
+        weight *= qv
+        x2 *= qv * qv
+    if tail > 1e-9 * abs(total):
+        raise TruncationError(
+            f"node sum of x^{2 * n} * kernel at q={q} leaves a tail bounded by "
+            f"{tail:.3e} after {trunc.max_terms} nodes; raise max_terms")
+    return total, trunc.max_terms
 
 
 def c_of_q(q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY,
@@ -200,56 +202,17 @@ def c_of_q(q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY,
     if method not in _METHODS:
         raise DomainError(f"method must be one of {_METHODS}, got {method!r}")
     qv = q.value
-    if trunc.is_exact:
-        if method == "interchanged_sum":
-            r = 2 * sum(_interchanged_terms_exact(qv, trunc.max_terms))
-            used = trunc.max_terms
-        else:
-            nu_sq = 1 / (1 - qv)
-            total = Fraction(0)
-            weight = Fraction(1)
-            x2 = nu_sq
-            for _ in range(trunc.max_terms):
-                total += weight * kernel_eval_x2(x2, q, trunc)
-                weight *= qv
-                x2 *= qv * qv
-            r = 2 * total
-            used = trunc.max_terms
-        surd = QScalar(r, 1, qv)
-        return NormalizationResult(surd, float(surd), method, used)
-    if method == "interchanged_sum":
+    if method == "double_sum":
+        total, used = _node_sum(0, q, trunc)
+    elif trunc.is_exact:
+        total, used = sum(islice(_interchanged_terms(qv), trunc.max_terms)), trunc.max_terms
+    else:
         value, used = _interchanged_c_mp(qv, trunc.max_terms)
         return NormalizationResult(None, float(value), method, used)
-    qf = q.as_float
-    nu_sq = 1.0 / (1.0 - qf)
-    tol = trunc.relative_tail_tolerance
-    total = 0.0
-    weight = 1.0
-    x2 = nu_sq
-    used = trunc.max_terms
-    stopped = False
-    # Stopping must use the guaranteed bound tail <= q^(n+1)/(1-q) (kernel is
-    # at most 1 on the support), not the last term: near q = 1 the first
-    # nodes sit where the kernel is below float resolution, and noise-scale
-    # terms would satisfy any relative smallness test long before the true
-    # contributions (which grow as the nodes move inward) have been summed.
-    for n in range(trunc.max_terms):
-        term = weight * kernel_eval_x2(x2, q, trunc)
-        total += term
-        if n >= 2 and weight * qf / (1.0 - qf) <= tol * abs(total):
-            used = n + 1
-            stopped = True
-            break
-        weight *= qf
-        x2 *= qf * qf
-    if not stopped:
-        tail_bound = weight / (1.0 - qf)
-        if tail_bound > 1e-9 * abs(total):
-            raise TruncationError(
-                f"node sum at q={qv} leaves a tail bounded by {tail_bound:.3e} "
-                f"after {trunc.max_terms} nodes; raise max_terms")
-    c_float = 2.0 * math.sqrt(1.0 - qf) * total
-    return NormalizationResult(None, c_float, method, used)
+    if trunc.is_exact:
+        surd = QScalar(2 * total, 1, qv)
+        return NormalizationResult(surd, float(surd), method, used)
+    return NormalizationResult(None, 2.0 * math.sqrt(1.0 - q.as_float) * total, method, used)
 
 
 def moment_closed_form(n: int) -> QPolynomial:
@@ -260,20 +223,15 @@ def moment_closed_form(n: int) -> QPolynomial:
 
 
 def moment_by_integration(k: int, q: QParam,
-                          trunc: TruncationPolicy = DEFAULT_POLICY,
-                          tail_guard: float = 1e-9):
+                          trunc: TruncationPolicy = DEFAULT_POLICY):
     """k-th normalized moment by symmetric Jackson integration of kernel * x^k.
 
     Odd k short-circuits to exact zero through the declared-parity path (odd
     integrand against an even kernel over a symmetric interval). Even k = 2n
     reduces to nodes in x^2, so exact mode returns a plain Fraction: the
     sqrt(1-q) from the integral cancels against the one in c(q), both taken
-    at the same truncation.
-
-    tail_guard is the truncation-insufficiency threshold: if the term budget
-    runs out while the estimated relative geometric tail (kernel bounded by 1)
-    still exceeds it, a TruncationError is raised. It is deliberately coarser
-    than the stopping tolerance, which would false-alarm for q near 1.
+    at the same truncation. A budget too short for the node sum raises
+    TruncationError (see _node_sum).
     """
     if not isinstance(k, int) or k < 0:
         raise DomainError(f"moment index must be a non-negative integer, got {k!r}")
@@ -281,45 +239,9 @@ def moment_by_integration(k: int, q: QParam,
         integrand = lambda x: kernel_eval(x, q, trunc) * x ** k
         return jackson_integral_symmetric(integrand, nu(q).value, q, trunc,
                                           parity="odd").value
-    n = k // 2
-    qv = q.value
+    total, _ = _node_sum(k // 2, q, trunc)
+    c = c_of_q(q, trunc, "interchanged_sum")
     if trunc.is_exact:
-        nu_sq = 1 / (1 - qv)
-        total = Fraction(0)
-        weight = Fraction(1)
-        x2 = nu_sq
-        for _ in range(trunc.max_terms):
-            total += weight * x2 ** n * kernel_eval_x2(x2, q, trunc)
-            weight *= qv
-            x2 *= qv * qv
-        r = 2 * sum(_interchanged_terms_exact(qv, trunc.max_terms))
         # integral = 2 sqrt(1-q) * total, c(q) = r sqrt(1-q): surds cancel
-        return 2 * total / r
-    qf = q.as_float
-    nu_sq = 1.0 / (1.0 - qf)
-    tol = trunc.relative_tail_tolerance
-    decay = qf ** (k + 1)
-    total = 0.0
-    weight = 1.0
-    x2 = nu_sq
-    stopped_early = False
-    # stop on the guaranteed envelope bound (kernel <= 1), not the last term;
-    # see the analogous loop in c_of_q for why term-based stopping misfires
-    for m in range(trunc.max_terms):
-        envelope = weight * x2 ** n
-        total += envelope * kernel_eval_x2(x2, q, trunc)
-        if m >= 2 and envelope * decay / (1.0 - decay) <= tol * max(abs(total), 1e-300):
-            stopped_early = True
-            break
-        weight *= qf
-        x2 *= qf * qf
-    if not stopped_early:
-        # geometric tail bound with the kernel bounded by 1 on [0, nu]
-        tail = (decay ** trunc.max_terms) * nu_sq ** n / (1 - decay)
-        if tail > tail_guard * max(abs(total), 1e-300):
-            raise TruncationError(
-                f"moment_by_integration(k={k}, q={qv}): estimated relative tail "
-                f"{tail / max(abs(total), 1e-300):.2e} exceeds guard {tail_guard:.1e}; "
-                f"increase max_terms")
-    c_float = c_of_q(q, trunc, "interchanged_sum").float_value
-    return 2.0 * math.sqrt(1.0 - qf) * total / c_float
+        return 2 * total / c.surd_value.rational_part
+    return 2.0 * math.sqrt(1.0 - q.as_float) * total / c.float_value

@@ -109,6 +109,10 @@ class TestPairingsCommand:
         closed = next(r for r in records if r["quantity"] == "q_double_factorial")
         assert summed["exact_value"] == closed["exact_value"] == "1 + q + q^2"
 
+    def test_sum_flag_is_gone(self):
+        # the weighted sum records are always emitted; --sum is not an option
+        run_cli("pairings", "--sum", expect=2)
+
 
 class TestSeriesCommand:
     def test_float_only_output_drops_exact_column(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from qfj.errors import DivergenceError, DomainError, EvaluationError
+from qfj.errors import DivergenceError, DomainError, EvaluationError, TruncationError
 from qfj.qcalc import (
     DEFAULT_POLICY,
     E_q,
@@ -18,7 +18,7 @@ from qfj.qcalc import (
     jackson_integral_symmetric,
     q_derivative,
 )
-from qfj.qcore import QParam, q_bracket, q_factorial
+from qfj.qcore import QParam, QPolynomial, q_bracket, q_factorial
 
 Q_HALF = QParam(Fraction(1, 2))
 
@@ -42,6 +42,12 @@ class TestTruncationPolicy:
 
 
 class TestXPoly:
+    def test_is_the_dense_polynomial_class(self):
+        assert XPoly is QPolynomial
+        f = XPoly((Fraction(1), Fraction(-2), Fraction(0), Fraction(1)))
+        assert f(Fraction(3, 2)) == f.eval(Fraction(3, 2)) == Fraction(11, 8)
+        assert f(1.5) == f.eval(1.5) == 1.375
+
     def test_reflect_and_scale(self):
         square = XPoly((Fraction(0), Fraction(0), Fraction(1)))
         assert square.reflect() == square
@@ -164,3 +170,21 @@ class TestLargeQExponential:
         for order in range(1, 10):
             conv = sum(small[j] * shift[order - j] for j in range(order + 1))
             assert conv == 0
+
+    def test_large_negative_argument_inside_radius_is_entire(self):
+        # |x| = 95 < 1/(1-q) = 100: the reciprocal series would need ~2000
+        # terms, so the alternating sum answers; the true value, ~1.2e-63,
+        # is below its resolution (terms cut at 1e-45 absolute)
+        val = E_q(-95.0, QParam(Fraction(99, 100)), DEFAULT_POLICY)
+        assert abs(val) < 1e-44
+
+    def test_reciprocal_route_never_returns_a_partial_sum(self):
+        # 216 terms cut the reciprocal series at ~1e-10 of its value
+        got = E_q(-1.8, Q_HALF, TruncationPolicy.floating(216))
+        want = float(E_q(Fraction(-9, 5), Q_HALF, TruncationPolicy.exact(200)))
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_alternating_sum_short_of_budget_raises(self):
+        # eight terms of the alternating series are off by 3e-4
+        with pytest.raises(TruncationError, match="needs about"):
+            E_q(-5.0, Q_HALF, TruncationPolicy.floating(8))

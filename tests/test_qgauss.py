@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 from qfj.errors import DomainError, TruncationError
 from qfj.qcalc import DEFAULT_POLICY, TruncationPolicy
-from qfj.qcore import QParam, QScalar, q_bracket, q_double_factorial
+from qfj.qcore import QParam, QScalar, q_bracket, q_double_factorial, q_squared_factorial
 from qfj.qgauss import (
     c_of_q,
     kernel_eval,
@@ -60,6 +60,26 @@ class TestKernel:
         q = QParam(Fraction(999, 1000))
         val = kernel_eval(20.0, q, DEFAULT_POLICY)
         assert abs(val) < 1e-40
+
+    @pytest.mark.parametrize("qv, x2, M", [
+        (Fraction(1, 2), Fraction(2), 12),          # x^2 = nu^2
+        (Fraction(1, 2), Fraction(1, 3), 9),
+        (Fraction(3, 4), Fraction(4), 16),          # x^2 = nu^2
+        (Fraction(9, 10), Fraction(7, 2), 20),
+        (Fraction(9, 10), Fraction(10), 24),        # x^2 = nu^2
+    ])
+    def test_exact_value_is_the_defining_partial_sum(self, qv, x2, M):
+        # (-1)^n q^(n(n+1)) x^(2n) / ((1+q)^n [n]_{q^2}!), n < M
+        want = sum(Fraction((-1) ** n) * qv ** (n * (n + 1)) * x2 ** n
+                   / ((1 + qv) ** n * q_squared_factorial(n).eval(qv))
+                   for n in range(M))
+        assert kernel_eval_x2(x2, QParam(qv), TruncationPolicy.exact(M)) == want
+
+    def test_zero_tolerance_sums_to_convergence(self):
+        got = kernel_eval(1.0, Q_HALF, TruncationPolicy(max_terms=512,
+                                                        relative_tail_tolerance=0.0))
+        want = float(kernel_eval(Fraction(1), Q_HALF, TruncationPolicy.exact(64)))
+        assert got == pytest.approx(want, rel=1e-15)
 
     @given(q_params, st.fractions(min_value=0, max_value=1, max_denominator=16))
     @settings(max_examples=30, deadline=None)

@@ -104,6 +104,24 @@ class TestBlockValues:
             assert graph_block_value(c, dprime, k, q) == fj_term(
                 c, k, dprime // 2, q), (c, k, dprime)
 
+    @pytest.mark.parametrize("c, dprime", [
+        (c, dprime) for dprime in (0, 2) for c in range(6) if 2 * c + 3 * dprime <= 10
+    ])
+    def test_equals_per_graph_definition(self, c, dprime):
+        # the paper's object-level sum of omega_q / a_q over every graph of
+        # the block; a_q reads only (c, dprime, k), so it is taken once
+        qv = Q_HALF.value
+        for k in range(c + 1):
+            graphs = enumerate_graphs(c, dprime, k)
+            amplitude = a_q(graphs[0])
+            assert a_q(graphs[-1]) == amplitude
+            total = Fraction(0)
+            for graph in graphs:
+                exponent, coefficient = omega_q(graph).as_monomial()
+                total += coefficient * qv ** exponent
+            assert total / amplitude.eval(qv) == graph_block_value(
+                c, dprime, k, Q_HALF).rational_part, (c, dprime, k)
+
     def test_block_beyond_pairing_limit_raises(self):
         with pytest.raises(ResourceLimitError):
             graph_block_value(5, 4, 0, Q_HALF)
