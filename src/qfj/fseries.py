@@ -19,8 +19,7 @@ import mpmath as mp
 from .errors import DomainError
 from .qcalc import (DEFAULT_POLICY, TruncationPolicy, E_q, _entire_sum,
                     jackson_integral_symmetric)
-from .qcore import (QParam, QScalar, as_fraction, binomial, q_bracket,
-                    q_double_factorial, q_factorial, q_squared_factorial)
+from .qcore import QParam, QScalar, as_fraction, binomial
 from .qgauss import _interchanged_c_mp, c_of_q, nu
 
 
@@ -125,9 +124,30 @@ class LambdaTable:
         return self.values.get((c, d), QScalar(Fraction(0), 0, self.q.value))
 
 
+def _bracket_product(qv: Fraction, exponents) -> Fraction:
+    """prod [n]_q over the given n, at the rational q, with [n]_q = (1-q^n)/(1-q).
+
+    With q = a/b each bracket is (b^n - a^n) / (b^(n-1) (b - a)), so the
+    product is two integer products and one normalization.
+    """
+    a, b = qv.numerator, qv.denominator
+    numerator = denominator = 1
+    for n in exponents:
+        numerator *= b ** n - a ** n
+        denominator *= b ** (n - 1) * (b - a)
+    return Fraction(numerator, denominator)
+
+
+def _low_brackets(qv: Fraction) -> tuple[Fraction, Fraction]:
+    """[2]_q = 1 + q and [3]_q! = (1 + q)(1 + q + q^2) at the rational q."""
+    bracket2 = 1 + qv
+    return bracket2, bracket2 * (bracket2 + qv * qv)
+
+
 @lru_cache(maxsize=None)
 def _qsq_factorial_at(m: int, qv: Fraction) -> Fraction:
-    return q_squared_factorial(m).eval(qv)
+    """[m]_{q^2}! at qv; equals q_squared_factorial(m).eval(qv)."""
+    return _bracket_product(qv * qv, range(1, m + 1))
 
 
 def lambda_closed_form(c: int, d: int, q: QParam) -> QScalar:
@@ -184,7 +204,9 @@ def lambda_oracle(max_c: int, max_d: int, q: QParam) -> LambdaTable:
 
 @lru_cache(maxsize=None)
 def _ddf_at(j: int, qv: Fraction) -> Fraction:
-    return q_double_factorial(j).eval(qv)
+    """[2j-1]!!_q = [1]_q [3]_q ... [2j-1]_q at qv; equals
+    q_double_factorial(j).eval(qv)."""
+    return _bracket_product(qv, range(1, 2 * j, 2))
 
 
 def fj_term(c: int, k: int, d: int, q: QParam) -> QScalar:
@@ -196,8 +218,7 @@ def fj_term(c: int, k: int, d: int, q: QParam) -> QScalar:
     if not (0 <= k <= c) or d < 0:
         raise DomainError(f"need 0 <= k <= c and d >= 0, got c={c}, k={k}, d={d}")
     qv = q.value
-    bracket2 = q_bracket(2).eval(qv)
-    fact3 = q_factorial(3).eval(qv)
+    bracket2, fact3 = _low_brackets(qv)
     numerator = (Fraction((-1) ** k * binomial(2 * d + k, k))
                  * qv ** ((2 * d + k) * (2 * d + k - 1) + 2 * c)
                  * _ddf_at(c + 3 * d, qv))
@@ -217,12 +238,19 @@ def fj_blocks(m: int, q: QParam, max_c: int) -> tuple[QScalar, ...]:
     if max_c < 0:
         raise DomainError("max_c must be non-negative")
     d = m // 2
+    qv = q.value
+    q_sq = qv * qv
     out = []
     for c in range(max_c + 1):
-        acc = QScalar(Fraction(0), 0, q.value)
-        for k in range(c + 1):
-            acc = acc + fj_term(c, k, d, q)
-        out.append(acc)
+        # sum_k fj_term(c, k, d) = T_0 (1 + r_0 (1 + r_1 (... (1 + r_(c-1))))),
+        # r_k = T_(k+1)/T_k; nesting adds 1 instead of two large Fractions
+        nested = Fraction(1)
+        for k in reversed(range(c)):
+            n = 2 * d + k
+            ratio = (Fraction(-(n + 1), k + 1) * qv ** (2 * n)
+                     * (1 - q_sq ** (c - k)) / (1 - q_sq ** (n + 1)))
+            nested = 1 + ratio * nested
+        out.append(QScalar(fj_term(c, 0, d, q).rational_part * nested, 0, qv))
     return tuple(out)
 
 
@@ -263,22 +291,25 @@ def integrand_expansion(order_g: int, order_x: int, q: QParam) -> PowerSeries2:
     if order_g < 0 or order_x < 0:
         raise DomainError("expansion orders must be non-negative")
     qv = q.value
-    bracket2 = q_bracket(2).eval(qv)
-    fact3 = q_factorial(3).eval(qv)
+    brackets = _low_brackets(qv)
     terms: dict[tuple[int, int], QScalar] = {}
     for d in range(order_g + 1):
         for c in range((order_x - 3 * d) // 2 + 1):
-            if 2 * c + 3 * d > order_x or c < 0:
-                continue
-            acc = Fraction(0)
-            for k in range(c + 1):
-                acc += (Fraction((-1) ** (2 * c - k) * binomial(d + k, k))
-                        * qv ** ((d + k) * (d + k - 1) + 2 * c)
-                        / (bracket2 ** c * fact3 ** d
-                           * _qsq_factorial_at(d + k, qv) * _qsq_factorial_at(c - k, qv)))
+            acc = _expansion_coefficient(c, d, qv, *brackets)
             if acc:
                 terms[(2 * c + 3 * d, d)] = QScalar(acc, 0, qv)
     return PowerSeries2(terms, order_x + order_g, variables=("x", "g"))
+
+
+def _expansion_coefficient(c: int, d: int, qv: Fraction,
+                           bracket2: Fraction, fact3: Fraction) -> Fraction:
+    """Coefficient of x^(2c+3d) g^d in integrand_expansion."""
+    acc = Fraction(0)
+    for k in range(c + 1):
+        acc += (Fraction((-1) ** (2 * c - k) * binomial(d + k, k))
+                * qv ** ((d + k) * (d + k - 1) + 2 * c)
+                / (_qsq_factorial_at(d + k, qv) * _qsq_factorial_at(c - k, qv)))
+    return acc / (bracket2 ** c * fact3 ** d)
 
 
 def fj_coefficient_via_moments(m: int, q: QParam, max_c: int = 12) -> QScalar:
@@ -294,12 +325,13 @@ def fj_coefficient_via_moments(m: int, q: QParam, max_c: int = 12) -> QScalar:
     qv = q.value
     if m % 2 == 1:
         return QScalar(Fraction(0), 0, qv)
-    expansion = integrand_expansion(m, 2 * max_c + 3 * m, q)
+    # only the g^m row of integrand_expansion(m, 2 max_c + 3m, q) contributes;
+    # its x-powers 2c + 3m (c <= max_c) are all even
+    brackets = _low_brackets(qv)
     total = Fraction(0)
-    for (x_power, g_power), coeff in expansion.terms.items():
-        if g_power != m or x_power % 2 == 1:
-            continue
-        total += coeff.rational_part * _ddf_at(x_power // 2, qv)
+    for c in range(max_c + 1):
+        total += (_expansion_coefficient(c, m, qv, *brackets)
+                  * _ddf_at(c + 3 * m // 2, qv))
     return QScalar(total, 0, qv)
 
 

@@ -1,12 +1,14 @@
 """Truncated power series, the weight-transfer coefficients, and the
 perturbative expansion of the cubic-deformed integral."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from qfj import fseries
 from qfj.errors import DomainError
 from qfj.fseries import (
     PowerSeries1,
@@ -22,7 +24,8 @@ from qfj.fseries import (
     lambda_oracle,
 )
 from qfj.qcalc import TruncationPolicy
-from qfj.qcore import QParam, QScalar, q_factorial
+from qfj.qcore import (QParam, QPolynomial, QScalar, q_double_factorial, q_factorial,
+                       q_squared_factorial)
 
 Q_HALF = QParam(Fraction(1, 2))
 
@@ -31,6 +34,10 @@ TWO = QScalar(Fraction(2), 0)
 
 q_params = st.fractions(min_value=Fraction(1, 8), max_value=Fraction(3, 4),
                         max_denominator=12).map(QParam)
+
+# q far from 1, a generic denominator, and q near 1, where cancellation is worst
+PRODUCT_QS = [QParam(Fraction(1, 2)), QParam(Fraction(1, 4)),
+              QParam(Fraction(137, 293)), QParam(Fraction(999, 1000))]
 
 
 class TestPowerSeries1:
@@ -121,6 +128,30 @@ class TestSeriesCoefficients:
         for q in (QParam(Fraction(1, 3)), Q_HALF):
             for m in (0, 2, 4):
                 assert fj_coefficient_via_moments(m, q, 6) == fj_coefficient(m, q, 6)
+        q = QParam(Fraction(999, 1000))
+        for m in (4, 6):
+            assert fj_coefficient_via_moments(m, q, 12) == fj_coefficient(m, q, 12)
+
+    @pytest.mark.parametrize("q", PRODUCT_QS, ids=str)
+    @pytest.mark.parametrize("m", [0, 2, 4, 6])
+    def test_blocks_are_the_summed_terms(self, m, q):
+        blocks = fj_blocks(m, q, 12)
+        for c, block in enumerate(blocks):
+            assert block == sum((fj_term(c, k, m // 2, q) for k in range(c + 1)),
+                                QScalar(Fraction(0))), c
+
+    @pytest.mark.parametrize("m, q, digest", [
+        (4, Fraction(999, 1000),
+         "4be83818eb4feb97f2cda0457197a3cdbd34b4d36450387c9d33b4ec49feeb33"),
+        (8, Fraction(1, 2),
+         "1f788b64875e0148ee336fd5e136da05e7d82538a7f1f5aa3b7eb8d593baa323"),
+    ])
+    def test_coefficient_fingerprint(self, m, q, digest):
+        # sha256 of "<numerator hex>/<denominator hex>", recorded when every
+        # term was built from the QPolynomial factorials
+        value = fj_coefficient(m, QParam(q), 36).rational_part
+        text = f"{value.numerator:x}/{value.denominator:x}"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_series_bundles_coefficients(self):
         s = fj_series(4, Q_HALF, max_c=8)
@@ -136,6 +167,47 @@ class TestSeriesCoefficients:
         err_99 = abs(float(fj_coefficient(2, QParam(Fraction(99, 100)), 12).rational_part)
                      - target)
         assert err_99 < err_9
+
+
+class TestEvaluatedProducts:
+    """The factorials the series evaluates at q are the polynomial definitions."""
+
+    @pytest.mark.parametrize("q", PRODUCT_QS, ids=str)
+    def test_match_polynomial_definitions(self, q):
+        qv = q.value
+        for n in range(25):
+            assert fseries._ddf_at(n, qv) == q_double_factorial(n).eval(qv), n
+            assert fseries._qsq_factorial_at(n, qv) == q_squared_factorial(n).eval(qv), n
+
+    @given(st.fractions(min_value=0, max_value=1, max_denominator=30)
+           .filter(lambda x: 0 < x < 1),
+           st.integers(min_value=0, max_value=16))
+    @settings(max_examples=40, deadline=None)
+    def test_match_polynomial_definitions_at_any_q(self, qv, n):
+        assert fseries._ddf_at(n, qv) == q_double_factorial(n).eval(qv)
+        assert fseries._qsq_factorial_at(n, qv) == q_squared_factorial(n).eval(qv)
+
+    def test_series_builds_no_polynomial(self, monkeypatch):
+        q_factorial.cache_clear()
+        q_double_factorial.cache_clear()
+        degrees = []
+        original = QPolynomial.__mul__
+
+        def counting_mul(self, other):
+            product = original(self, other)
+            degrees.append(product.degree)
+            return product
+
+        monkeypatch.setattr(QPolynomial, "__mul__", counting_mul)
+        monkeypatch.setattr(QPolynomial, "__rmul__", counting_mul)
+        q = QParam(Fraction(7919, 8192))   # used nowhere else: nothing cached for it
+        fj_coefficient(4, q, 36)
+        fj_series(6, q, max_c=12)
+        fj_coefficient_via_moments(4, q, 12)
+        lambda_closed_form(4, 3, q)
+        lambda_oracle(4, 4, q)
+        assert not degrees, (f"{len(degrees)} polynomial products, "
+                             f"up to degree {max(degrees)}")
 
 
 class TestIntegrandExpansion:
