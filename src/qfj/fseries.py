@@ -351,7 +351,7 @@ def _fj_numeric_mp(g, q: QParam, trunc: TruncationPolicy, dps: int):
         else:
             gm = mp.mpf(g)
         e_cutoff = mp.mpf(10) ** (-(dps + 25))
-        entire_sum = lambda u: _entire_sum(u, q_sq, trunc.max_terms, e_cutoff, 1)
+        entire_sum = lambda u: _entire_sum(u, q_sq, q_sq, trunc.max_terms, e_cutoff, 1)
 
         total = mp.mpf(0)
         weight = mp.mpf(1)

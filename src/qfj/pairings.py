@@ -11,6 +11,7 @@ closed form) on this side of every cross-check.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -63,14 +64,7 @@ def _check_n(n: int, limit: int) -> None:
     if n > limit:
         raise ResourceLimitError(
             f"n={n} exceeds the enumeration limit {limit} "
-            f"({2 * limit} elements, {_double_factorial_count(limit)} pairings)")
-
-
-def _double_factorial_count(n: int) -> int:
-    out = 1
-    for k in range(1, n + 1):
-        out *= 2 * k - 1
-    return out
+            f"({2 * limit} elements, {math.prod(range(1, 2 * limit, 2))} pairings)")
 
 
 def iter_pairings(n: int, limit: int = DEFAULT_LIMIT) -> Iterator[OrderedPairing]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from typing import Callable, Union
 
 import mpmath as mp
@@ -154,21 +155,8 @@ def jackson_integral(f: RealFunction, b: Real, q: QParam,
 
 
 def jackson_integral_symmetric(f: RealFunction, b: Real, q: QParam,
-                               trunc: TruncationPolicy = DEFAULT_POLICY,
-                               parity: str | None = None) -> QuadratureResult:
-    """Jackson integral over [-b, b], as the [0,b] part plus the reflected part.
-
-    The caller may declare the integrand's parity: "odd" returns exact zero
-    without evaluating anything, "even" returns twice the [0, b] integral.
-    """
-    if parity not in (None, "even", "odd"):
-        raise DomainError(f"parity must be None, 'even' or 'odd', got {parity!r}")
-    if parity == "odd":
-        zero = Fraction(0) if trunc.is_exact else 0.0
-        return QuadratureResult(zero, 0, zero)
-    if parity == "even":
-        half = jackson_integral(f, b, q, trunc)
-        return QuadratureResult(2 * half.value, half.terms_used, 2 * half.residual)
+                               trunc: TruncationPolicy = DEFAULT_POLICY) -> QuadratureResult:
+    """Jackson integral over [-b, b], as the [0,b] part plus the reflected part."""
     if isinstance(f, QPolynomial):
         reflected = f.reflect()
     else:
@@ -180,66 +168,97 @@ def jackson_integral_symmetric(f: RealFunction, b: Real, q: QParam,
                             plus.residual + minus.residual)
 
 
+def _growing_terms(s, q) -> float:
+    """About how many terms of sum_n x^n / [n]_q! grow before they decay, at
+    s = |x|(1-q) < 1: term n+1 exceeds term n while [n+1]_q < |x|, that is
+    while q^(n+1) > 1 - s."""
+    return math.log(max(1 - s, _MIN_FLOAT)) / math.log(q)
+
+
 def e_q(x: Real, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY) -> Real:
     """The q-exponential sum_n x^n / [n]_q!.
 
-    Converges only for |x| < 1/(1-q); divergence is detected heuristically
-    (terms growing for max_terms//2 consecutive steps) rather than by a radius
-    precondition, so exact boundary inputs are not rejected up front.
+    Converges exactly for |x| < 1/(1-q): at or beyond that radius it raises
+    DivergenceError before summing. Inside it the terms grow for about
+    h = log(1-s)/log q steps (s = |x|(1-q)) before they decay, so a budget
+    with max(2, max_terms // 2) <= h is refused up front with
+    TruncationError naming about 2h terms.
     """
-    exact = trunc.is_exact and not isinstance(x, float)
-    if exact:
-        xv = as_fraction(x, "argument")
-        qv = q.value
-        term = Fraction(1)
-        bracket = Fraction(0)
-        power = Fraction(1)
+    if trunc.is_exact and not isinstance(x, float):
+        xv, qv, tol, floor = as_fraction(x, "argument"), q.value, 0, 0
     else:
-        xv = float(x)
-        qv = q.as_float
-        term = 1.0
-        bracket = 0.0
-        power = 1.0
-    total = term * 0
-    growth_streak = 0
-    streak_limit = max(2, trunc.max_terms // 2)
-    tol = trunc.relative_tail_tolerance
-    for n in range(trunc.max_terms):
-        total += term
-        if not exact and n >= 1 and abs(term) <= tol * max(abs(total), _MIN_FLOAT):
-            break
-        bracket += power          # [n+1]_q
-        power *= qv
-        next_term = term * xv / bracket
-        if abs(next_term) > abs(term) and term != 0:
-            growth_streak += 1
-            if growth_streak >= streak_limit:
-                raise DivergenceError(
-                    f"e_q series diverging at x={x!r} (|x| outside radius 1/(1-q))")
-        else:
-            growth_streak = 0
-        term = next_term
-    return total
+        xv, qv, tol, floor = float(x), q.as_float, trunc.relative_tail_tolerance, _MIN_FLOAT
+    s = abs(xv) * (1 - qv)
+    if s >= 1:
+        raise DivergenceError(
+            f"e_q series diverges at x={x!r}, q={q}: |x| is not inside the radius 1/(1-q)")
+    hump = _growing_terms(s, qv)
+    if hump >= max(2, trunc.max_terms // 2):
+        raise TruncationError(
+            f"e_q series at x={x!r}, q={q} grows for about {hump:.0f} terms and "
+            f"needs about {math.ceil(2 * hump)} terms to converge, budget is "
+            f"{trunc.max_terms}; raise max_terms")
+    return _entire_sum(xv, qv, 1, trunc.max_terms, tol, floor)
 
 
-def _entire_sum(x, p, max_terms: int, tol, floor):
-    """Partial sum of the entire series sum_n p^(n(n-1)/2) x^n / [n]_p!.
+def _entire_sum(x, p, growth, max_terms: int, tol, floor):
+    """Partial sum of sum_n growth^(n(n-1)/2) x^n / [n]_p!: growth = p is the
+    entire E_p, growth = 1 the q-exponential e_p.
 
     Runs in the arithmetic of x and p (Fraction, float or mpf alike). A term
     with |term| <= tol * max(|partial sum|, floor) ends the sum; tol = 0 spends
     the whole budget (a zero threshold could only drop exact zeros).
     """
     total = bracket = x * 0
-    term = power = p_power = total + 1      # p_power is p^n
+    term = power = g_power = total + 1      # g_power is growth^n
     for n in range(max_terms):
         total += term
         if tol and n >= 1 and abs(term) <= tol * max(abs(total), floor):
             break
         bracket += power          # [n+1]_p
         power *= p
-        term = term * p_power * x / bracket
-        p_power *= p
+        term = term * g_power * x / bracket
+        g_power *= growth
     return total
+
+
+def _magnitude_scan(log_terms, budget: int):
+    """Walk log10 |term_n| for n = 0, 1, ... until a term falls below 1e-45,
+    for at most max(_SCAN_LIMIT, budget + 1) terms.
+
+    Returns (peak, peak_at, at_budget, needed): the largest magnitude (at
+    least that of a leading 1) and its index, which size the working
+    precision of a cancelling sum; the magnitude of term `budget`, the first
+    one a budget-long sum omits (inf if the walk stops before it); and the
+    number of terms up to the first below 1e-45, None if none comes.
+    """
+    peak, peak_at, at_budget = 0.0, 0, math.inf
+    for n, log_term in enumerate(islice(log_terms, max(_SCAN_LIMIT, budget + 1))):
+        if log_term > peak:
+            peak, peak_at = log_term, n
+        if n == budget:
+            at_budget = log_term
+        if log_term < -45:
+            return peak, peak_at, at_budget, n + 1
+    return peak, peak_at, at_budget, None
+
+
+def _needs(needed) -> str:
+    """The term count a TruncationError names, from _magnitude_scan."""
+    return f"about {needed}" if needed else f"more than {_SCAN_LIMIT}"
+
+
+def _entire_log_terms(x: float, qf: float):
+    """log10 |term_n| of the series of E_q at x != 0, for n = 0, 1, ..."""
+    log_q = math.log10(qf)
+    log_x = math.log10(abs(x))
+    log_term = bracket = 0.0
+    power = 1.0
+    for n in count():
+        yield log_term
+        bracket += power
+        power *= qf
+        log_term += n * log_q + log_x - math.log10(bracket)
 
 
 def _E_q_float_fallback(x: float, q: QParam, trunc: TruncationPolicy) -> float:
@@ -252,33 +271,15 @@ def _E_q_float_fallback(x: float, q: QParam, trunc: TruncationPolicy) -> float:
     omitted term bounds the tail; unless that bound is below float
     resolution of the sum, TruncationError is raised with the needed count.
     """
-    qf = q.as_float
     budget = trunc.max_terms
-    # scan term magnitudes in log space: the peak sizes the working precision
-    peak = log_term = omitted = 0.0
-    peak_at = 0
-    log_q = math.log10(qf)
-    log_x = math.log10(abs(x))
-    bracket = 0.0
-    power = 1.0
-    n = 0
-    while log_term >= -45 and n < _SCAN_LIMIT:
-        bracket += power
-        power *= qf
-        log_term += n * log_q + log_x - math.log10(bracket)
-        n += 1                    # log_term is now that of term n
-        if log_term > peak:
-            peak, peak_at = log_term, n
-        if n == budget:
-            omitted = log_term
+    peak, peak_at, omitted, needed = _magnitude_scan(_entire_log_terms(x, q.as_float), budget)
     with mp.workdps(int(peak) + 45):
         qm = mp.mpf(q.value.numerator) / q.value.denominator
-        total = float(_entire_sum(mp.mpf(x), qm, budget, mp.mpf(10) ** (-45), 1))
-    if n >= budget and not (peak_at < budget and total != 0.0
-                            and omitted < math.log10(abs(total)) - 16):
-        hint = f"about {n + 1}" if log_term < -45 else f"more than {_SCAN_LIMIT}"
+        total = float(_entire_sum(mp.mpf(x), qm, qm, budget, mp.mpf(10) ** (-45), 1))
+    if (needed is None or needed > budget) and not (
+            peak_at < budget and total != 0.0 and omitted < math.log10(abs(total)) - 16):
         raise TruncationError(
-            f"E_q alternating series at x={x!r}, q={q} needs {hint} terms to "
+            f"E_q alternating series at x={x!r}, q={q} needs {_needs(needed)} terms to "
             f"converge, budget is {budget}; raise max_terms")
     return total
 
@@ -293,7 +294,7 @@ def E_q(x: Real, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY) -> Real:
     absolute, or raising TruncationError when the budget cannot reach that.
     """
     if trunc.is_exact and not isinstance(x, float):
-        return _entire_sum(as_fraction(x, "argument"), q.value, trunc.max_terms, 0, 0)
+        return _entire_sum(as_fraction(x, "argument"), q.value, q.value, trunc.max_terms, 0, 0)
     xf = float(x)
     qf = q.as_float
     tol = trunc.relative_tail_tolerance
@@ -301,13 +302,13 @@ def E_q(x: Real, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY) -> Real:
     if 0.0 < s < 1.0:
         # The reciprocal series grows for ~log(1-s)/log q terms before
         # decaying at asymptotic rate s; take it only when both phases fit
-        # the term budget, otherwise the divergence heuristic in e_q trips on
-        # the hump or the sum stops short. A zero tolerance stops that float
-        # sum only when its terms underflow.
-        hump = math.log(1.0 - s) / math.log(qf)
+        # the term budget, otherwise e_q refuses the hump or the sum stops
+        # short. A zero tolerance stops that float sum only when its terms
+        # underflow.
+        hump = _growing_terms(s, qf)
         decay = math.log(max(tol, math.ulp(0.0))) / math.log(s)
         if 2.0 * hump + decay <= 0.9 * trunc.max_terms:
             return 1.0 / e_q(-xf, q, trunc)
     if xf < 0:
         return _E_q_float_fallback(xf, q, trunc)
-    return _entire_sum(xf, qf, trunc.max_terms, tol, _MIN_FLOAT)
+    return _entire_sum(xf, qf, qf, trunc.max_terms, tol, _MIN_FLOAT)

@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 import mpmath as mp
 
 from .errors import DomainError, TruncationError
-from .qcalc import DEFAULT_POLICY, E_q, TruncationPolicy, jackson_integral_symmetric
+from .qcalc import DEFAULT_POLICY, E_q, TruncationPolicy, _magnitude_scan, _needs
 from .qcore import QParam, QScalar, as_fraction, q_double_factorial, QPolynomial
 
 
@@ -105,24 +105,13 @@ def _interchanged_terms(qv):
         q_odd *= q_sq
 
 
-def _interchanged_scan(qf: float, scan_limit: int) -> tuple[float, int, bool]:
-    """Log10-magnitude scan of the interchanged series terms.
-
-    Returns (peak, stop, converged): the largest term magnitude (which sizes
-    the working precision; the sum itself stays O(1), so the peak measures the
-    cancellation), the index after which terms are below 1e-45 absolute, and
-    whether that point was reached within scan_limit terms.
-    """
+def _interchanged_log_terms(qf: float):
+    """log10 magnitudes of the _interchanged_terms, from the float q."""
     log_q = math.log10(qf)
     log_poch = 0.0
-    peak = 0.0
-    for m in range(scan_limit):
-        log_term = m * (m + 1) * log_q - math.log10(1 - qf ** (2 * m + 1)) - log_poch
-        peak = max(peak, log_term)
-        if log_term < -45 and m > 3:
-            return peak, m + 1, True
+    for m in count():
+        yield m * (m + 1) * log_q - math.log10(1 - qf ** (2 * m + 1)) - log_poch
         log_poch += math.log10(1 - qf ** (2 * (m + 1)))
-    return peak, scan_limit, False
 
 
 def _interchanged_c_mp(qv: Fraction, max_terms: int, extra_dps: int = 0) -> tuple[mp.mpf, int]:
@@ -135,20 +124,17 @@ def _interchanged_c_mp(qv: Fraction, max_terms: int, extra_dps: int = 0) -> tupl
     size within max_terms: an alternating partial sum cut mid-hump is pure
     cancellation noise, not an approximation.
     """
-    qf = float(qv)
-    peak, stop, converged = _interchanged_scan(qf, max_terms)
-    if not converged:
-        _, needed, found = _interchanged_scan(qf, 200_000)
-        hint = f"about {needed}" if found else "more than 200000"
+    peak, _, _, needed = _magnitude_scan(_interchanged_log_terms(float(qv)), max_terms)
+    if needed is None or needed > max_terms:
         raise TruncationError(
-            f"normalization series at q={qv} needs {hint} terms to converge, "
+            f"normalization series at q={qv} needs {_needs(needed)} terms to converge, "
             f"budget is {max_terms}; raise max_terms")
     dps = max(30, int(peak) + 60) + extra_dps
     with mp.workdps(dps):
         qm = mp.mpf(qv.numerator) / qv.denominator
-        total = sum(islice(_interchanged_terms(qm), stop))
+        total = sum(islice(_interchanged_terms(qm), needed))
         c_value = 2 * mp.sqrt(1 - qm) * total
-        return +c_value, stop
+        return +c_value, needed
 
 
 def _node_sum(n: int, q: QParam, trunc: TruncationPolicy):
@@ -164,16 +150,25 @@ def _node_sum(n: int, q: QParam, trunc: TruncationPolicy):
     contributions (which grow as the nodes move inward) have been summed.
     When the budget runs out with that bound above 1e-9 of the sum (a guard
     deliberately coarser than the stopping tolerance, which would
-    false-alarm near q = 1), it raises TruncationError.
+    false-alarm near q = 1), it raises TruncationError. Since the kernel is
+    at most 1, the bound after m nodes is at least d^(m+1) of the sum; a
+    budget M with d^M above both the tolerance and 1e-9 (by a 1 % margin
+    for rounding) can neither stop nor pass the guard, and is refused before
+    any kernel is evaluated.
     """
     exact = trunc.is_exact
     qv = q.value if exact else q.as_float
     decay = qv ** (2 * n + 1)
     tol = trunc.relative_tail_tolerance
+    budget = trunc.max_terms
     total = tail = qv * 0
     weight = 1
     x2 = 1 / (1 - qv)
-    for m in range(trunc.max_terms):
+    if not exact and decay ** budget > 1.01 * max(tol, 1e-9):
+        # hopeless: sum no node, and let the guard report the bound after the budget
+        tail = x2 ** n * decay ** budget / (1 - decay)
+        budget = 0
+    for m in range(budget):
         envelope = weight * x2 ** n
         total += envelope * kernel_eval_x2(x2, q, trunc)
         if not exact:
@@ -226,8 +221,8 @@ def moment_by_integration(k: int, q: QParam,
                           trunc: TruncationPolicy = DEFAULT_POLICY):
     """k-th normalized moment by symmetric Jackson integration of kernel * x^k.
 
-    Odd k short-circuits to exact zero through the declared-parity path (odd
-    integrand against an even kernel over a symmetric interval). Even k = 2n
+    Odd k is exactly zero (odd integrand against an even kernel over a
+    symmetric interval), so nothing is integrated. Even k = 2n
     reduces to nodes in x^2, so exact mode returns a plain Fraction: the
     sqrt(1-q) from the integral cancels against the one in c(q), both taken
     at the same truncation. A budget too short for the node sum raises
@@ -236,9 +231,7 @@ def moment_by_integration(k: int, q: QParam,
     if not isinstance(k, int) or k < 0:
         raise DomainError(f"moment index must be a non-negative integer, got {k!r}")
     if k % 2 == 1:
-        integrand = lambda x: kernel_eval(x, q, trunc) * x ** k
-        return jackson_integral_symmetric(integrand, nu(q).value, q, trunc,
-                                          parity="odd").value
+        return Fraction(0) if trunc.is_exact else 0.0
     total, _ = _node_sum(k // 2, q, trunc)
     c = c_of_q(q, trunc, "interchanged_sum")
     if trunc.is_exact:

@@ -57,14 +57,9 @@ class GraphEncoding:
         return 2 * self.c + 3 * self.dprime
 
 
-def enumerate_graphs(c: int, dprime: int, k: int,
-                     limit: int = DEFAULT_LIMIT) -> list[GraphEncoding]:
-    """All C(dprime+k, k) * (2c+3*dprime-1)!! graphs in the (c, dprime, k) block.
-
-    Materializes every encoding, so this is only for small blocks; the block
-    aggregate graph_block_value walks the same pairing set without building
-    the objects.
-    """
+def _block_flags(c: int, dprime: int, k: int, limit: int) -> int:
+    """Flag count 2c+3*dprime of the (c, dprime, k) block, once its indices
+    are checked and its pairings fit the enumeration limit."""
     if c < 0 or dprime < 0 or not (0 <= k <= c):
         raise DomainError(f"need c >= 0, dprime >= 0, 0 <= k <= c; "
                           f"got c={c}, dprime={dprime}, k={k}")
@@ -75,6 +70,18 @@ def enumerate_graphs(c: int, dprime: int, k: int,
         raise ResourceLimitError(
             f"block (c={c}, dprime={dprime}) has {flags} flags, beyond the "
             f"pairing limit of {2 * limit} elements")
+    return flags
+
+
+def enumerate_graphs(c: int, dprime: int, k: int,
+                     limit: int = DEFAULT_LIMIT) -> list[GraphEncoding]:
+    """All C(dprime+k, k) * (2c+3*dprime-1)!! graphs in the (c, dprime, k) block.
+
+    Materializes every encoding, so this is only for small blocks; the block
+    aggregate graph_block_value walks the same pairing set without building
+    the objects.
+    """
+    flags = _block_flags(c, dprime, k, limit)
     sigmas = list(itertools.combinations(range(1, dprime + k + 1), k))
     if flags == 0:
         pairing_list = [OrderedPairing(())]
@@ -108,16 +115,7 @@ def graph_block_value(c: int, dprime: int, k: int, q: QParam,
     not the double-factorial identity, so agreement with the closed-form
     series term is an actual check of that identity inside the series.
     """
-    if c < 0 or dprime < 0 or not (0 <= k <= c):
-        raise DomainError(f"need c >= 0, dprime >= 0, 0 <= k <= c; "
-                          f"got c={c}, dprime={dprime}, k={k}")
-    if dprime % 2 != 0:
-        raise DomainError(f"dprime must be even, got {dprime}")
-    flags = 2 * c + 3 * dprime
-    if flags // 2 > limit:
-        raise ResourceLimitError(
-            f"block (c={c}, dprime={dprime}) has {flags} flags, beyond the "
-            f"pairing limit of {2 * limit} elements")
+    flags = _block_flags(c, dprime, k, limit)
     qv = q.value
     counts = weight_exponent_counts(flags // 2, limit)
     pairing_sum = sum((count * qv ** exponent for exponent, count in counts.items()),

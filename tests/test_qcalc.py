@@ -12,6 +12,7 @@ from qfj.qcalc import (
     DEFAULT_POLICY,
     E_q,
     TruncationPolicy,
+    _E_q_float_fallback,
     XPoly,
     e_q,
     jackson_integral,
@@ -114,15 +115,8 @@ class TestSymmetricIntegral:
     def test_even_doubles_the_half_line(self):
         square = XPoly((Fraction(0), Fraction(0), Fraction(1)))
         r = jackson_integral_symmetric(square, Fraction(1), Q_HALF,
-                                       TruncationPolicy.exact(8), parity="even")
+                                       TruncationPolicy.exact(8))
         assert r.value == Fraction(8, 7)
-
-    def test_declared_odd_parity_is_exactly_zero(self):
-        cube = XPoly((Fraction(0),) * 3 + (Fraction(1),))
-        r = jackson_integral_symmetric(cube, Fraction(1), Q_HALF, DEFAULT_POLICY,
-                                       parity="odd")
-        assert r.value == 0
-        assert r.terms_used == 0
 
     def test_generic_route_cancels_odd_integrand(self):
         r = jackson_integral_symmetric(lambda x: x ** 3, 1.0, Q_HALF, DEFAULT_POLICY)
@@ -138,6 +132,36 @@ class TestSmallQExponential:
         # radius of convergence is 1/(1-q) = 2 at q = 1/2
         with pytest.raises(DivergenceError):
             e_q(3.0, Q_HALF, DEFAULT_POLICY)
+
+    @pytest.mark.parametrize("budget", [2, 128, 512])
+    @pytest.mark.parametrize("qv", [Fraction(1, 2), Fraction(3, 4), Fraction(99, 100)])
+    def test_divergence_from_the_radius_on(self, qv, budget):
+        # the radius 1/(1-q) is exact in binary at these q
+        q = QParam(qv)
+        radius = 1 / (1 - qv)
+        for x in (radius, radius + Fraction(1, 64), 3 * radius / 2):
+            for arg, pol in ((x, TruncationPolicy.exact(budget)),
+                             (float(x), TruncationPolicy.floating(budget))):
+                for signed in (arg, -arg):
+                    with pytest.raises(DivergenceError, match="radius"):
+                        e_q(signed, q, pol)
+
+    def test_hump_longer_than_budget_raises(self):
+        # inside the radius of 100, the terms grow for log(1/20)/log(0.99) ~ 298
+        # steps, more than half of the budget
+        with pytest.raises(TruncationError, match="needs about 597 terms"):
+            e_q(95.0, QParam(Fraction(99, 100)), TruncationPolicy.floating(512))
+        assert e_q(95.0, QParam(Fraction(99, 100)), TruncationPolicy.floating(2048)) > 1e40
+
+    @given(q_params, st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2),
+                                  max_denominator=16),
+           st.integers(min_value=12, max_value=30))
+    @settings(max_examples=30, deadline=None)
+    def test_exact_value_is_the_defining_partial_sum(self, q, t, budget):
+        # |x| = t/(1-q): the terms grow for at most log(1/2)/log(7/8) < 6 steps
+        x = t / (1 - q.value)
+        want = sum(x ** n / q_factorial(n).eval(q) for n in range(budget))
+        assert e_q(x, q, TruncationPolicy.exact(budget)) == want
 
     @given(q_params)
     @settings(max_examples=25, deadline=None)
@@ -188,3 +212,11 @@ class TestLargeQExponential:
         # eight terms of the alternating series are off by 3e-4
         with pytest.raises(TruncationError, match="needs about"):
             E_q(-5.0, Q_HALF, TruncationPolicy.floating(8))
+
+    @pytest.mark.parametrize("x, qv, budget, needed", [
+        (-5.0, Fraction(1, 2), 8, 21),
+        (-25.0, Fraction(16, 17), 32, 74),
+    ])
+    def test_alternating_sum_names_the_terms_it_needs(self, x, qv, budget, needed):
+        with pytest.raises(TruncationError, match=f"needs about {needed} terms"):
+            _E_q_float_fallback(x, QParam(qv), TruncationPolicy.floating(budget))

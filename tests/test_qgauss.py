@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 
 from qfj.errors import DomainError, TruncationError
 from qfj.qcalc import DEFAULT_POLICY, TruncationPolicy
+from qfj import qgauss
 from qfj.qcore import QParam, QScalar, q_bracket, q_double_factorial, q_squared_factorial
 from qfj.qgauss import (
     c_of_q,
@@ -124,6 +125,25 @@ class TestNormalization:
         with pytest.raises(TruncationError):
             c_of_q(q, TruncationPolicy(max_terms=512))
 
+    @pytest.mark.parametrize("qv, budget, needed", [
+        (Fraction(999, 1000), 512, 916),
+        (Fraction(9999, 10000), 2500, 8593),
+    ])
+    def test_short_budget_names_the_terms_it_needs(self, qv, budget, needed):
+        with pytest.raises(TruncationError, match=f"needs about {needed} terms"):
+            c_of_q(QParam(qv), TruncationPolicy.floating(budget))
+
+    def test_hopeless_node_sum_is_refused_before_any_kernel(self, monkeypatch):
+        # 0.999^2048 = 0.13: no 2048-node sum can reach a 1e-9 tail
+        calls = []
+        monkeypatch.setattr(qgauss, "kernel_eval_x2",
+                            lambda *args: calls.append(args) or 1.0)
+        with pytest.raises(TruncationError,
+                           match=r"tail bounded by 1\.289e\+02 after 2048 nodes"):
+            c_of_q(QParam(Fraction(999, 1000)), TruncationPolicy.floating(2048),
+                   "double_sum")
+        assert calls == []
+
     def test_classical_limit_approaches_sqrt_two_pi(self):
         gap_9 = abs(c_of_q(QParam(Fraction(9, 10)), DEFAULT_POLICY).float_value
                     - SQRT_TWO_PI)
@@ -151,6 +171,8 @@ class TestMoments:
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     def test_odd_moments_vanish_exactly(self, k):
         assert moment_by_integration(k, Q_HALF, DEFAULT_POLICY) == 0.0
+        exact = moment_by_integration(k, Q_HALF, TruncationPolicy.exact(8))
+        assert exact == 0 and isinstance(exact, Fraction)
 
     def test_negative_order_rejected(self):
         with pytest.raises(DomainError):
