@@ -12,7 +12,6 @@ closed form) on this side of every cross-check.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -21,7 +20,10 @@ from typing import Iterator, Mapping
 from .errors import DomainError, ResourceLimitError, ValidationError
 from .qcore import QPolynomial
 
-DEFAULT_LIMIT = 8   # largest n enumerated by default: (2*8-1)!! = 2,027,025 pairings
+# Largest n enumerated by default: (2*8-1)!! = 2,027,025 pairings. It bounds
+# iter_pairings/enumerate_pairings; the histogram of weight_exponent_counts
+# visits at most F(2n+1) = 1,597 masks at this n.
+DEFAULT_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -112,11 +114,17 @@ def weight(p: OrderedPairing) -> QPolynomial:
 def weight_exponent_counts(n: int, limit: int = DEFAULT_LIMIT) -> Mapping[int, int]:
     """Histogram {W: number of pairings on [2n] with weight exponent W}.
 
-    Computed by a bitmask walk over the same smallest-first recursion as
-    iter_pairings: because the current left endpoint a is the smallest
-    unpaired element, the gap contribution of a new pair (a, b) is exactly
-    the number of still-unpaired elements between a and b. Cached per n;
-    n = 0 gives the empty-pairing histogram {0: 1}.
+    Walks the same smallest-first recursion as iter_pairings over bitmasks of
+    still-unpaired elements: because the current left endpoint a is the
+    smallest unpaired element, the gap contribution of a new pair (a, b) is
+    exactly the number of still-unpaired elements between a and b. The
+    histogram of W over all ways to finish pairing a mask is the sum, over
+    the partners b, of the remainder's histogram shifted by that gap, and it
+    is memoized per mask, so the walk visits at most F(2n+1) masks (1,597 at
+    n = 8) instead of (2n-1)!! leaves. The memo is keyed by the mask itself,
+    never by its size: collapsing by size would be the [2n-1]_q recurrence
+    this enumeration exists to check. Cached per n; n = 0 gives the
+    empty-pairing histogram {0: 1}.
     """
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"n must be a non-negative integer, got {n!r}")
@@ -131,24 +139,32 @@ def weight_exponent_counts(n: int, limit: int = DEFAULT_LIMIT) -> Mapping[int, i
         for b in range(a + 2, size + 1):
             mask |= 1 << (b - 2)
             between[a][b] = mask
-    counts: Counter[int] = Counter()
+    # memo[mask] = histogram as a list: entry w counts the ways to finish
+    # pairing the elements of mask with weight exponent w
+    memo: dict[int, list[int]] = {0: [1]}
 
-    def rec(available: int, w: int):
-        if not available:
-            counts[w] += 1
-            return
+    def finish(available: int) -> list[int]:
+        counts = memo.get(available)
+        if counts is not None:
+            return counts
+        counts = []
         a_bit = available & -available
         a = a_bit.bit_length()
         rest = available ^ a_bit
         bb = rest
         while bb:
             b_bit = bb & -bb
-            b = b_bit.bit_length()
-            rec(rest ^ b_bit, w + (available & between[a][b]).bit_count())
+            gap = (available & between[a][b_bit.bit_length()]).bit_count()
+            tail = finish(rest ^ b_bit)
+            counts.extend([0] * (gap + len(tail) - len(counts)))   # [] if long enough
+            for w, count in enumerate(tail, gap):
+                counts[w] += count
             bb ^= b_bit
+        memo[available] = counts
+        return counts
 
-    rec((1 << size) - 1, 0)
-    return MappingProxyType(dict(counts))
+    return MappingProxyType({w: count for w, count in enumerate(finish((1 << size) - 1))
+                             if count})
 
 
 def weighted_pairing_sum(n: int, limit: int = DEFAULT_LIMIT) -> QPolynomial:

@@ -182,7 +182,9 @@ def e_q(x: Real, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY) -> Real:
     DivergenceError before summing. Inside it the terms grow for about
     h = log(1-s)/log q steps (s = |x|(1-q)) before they decay, so a budget
     with max(2, max_terms // 2) <= h is refused up front with
-    TruncationError naming about 2h terms.
+    TruncationError naming about 2h terms. A float sum whose terms overflow
+    float range inside the radius raises EvaluationError; exact mode gives
+    the value.
     """
     if trunc.is_exact and not isinstance(x, float):
         xv, qv, tol, floor = as_fraction(x, "argument"), q.value, 0, 0
@@ -198,7 +200,11 @@ def e_q(x: Real, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY) -> Real:
             f"e_q series at x={x!r}, q={q} grows for about {hump:.0f} terms and "
             f"needs about {math.ceil(2 * hump)} terms to converge, budget is "
             f"{trunc.max_terms}; raise max_terms")
-    return _entire_sum(xv, qv, 1, trunc.max_terms, tol, floor)
+    total = _entire_sum(xv, qv, 1, trunc.max_terms, tol, floor)
+    if isinstance(total, float) and not math.isfinite(total):
+        raise EvaluationError(
+            f"e_q at x={x!r}, q={q} overflows float range; use exact mode for its value")
+    return total
 
 
 def _entire_sum(x, p, growth, max_terms: int, tol, floor):
@@ -308,7 +314,10 @@ def E_q(x: Real, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY) -> Real:
         hump = _growing_terms(s, qf)
         decay = math.log(max(tol, math.ulp(0.0))) / math.log(s)
         if 2.0 * hump + decay <= 0.9 * trunc.max_terms:
-            return 1.0 / e_q(-xf, q, trunc)
+            try:
+                return 1.0 / e_q(-xf, q, trunc)
+            except EvaluationError:     # e_q(-x) > 1.8e308: E_q is 0 to float resolution
+                return 0.0
     if xf < 0:
         return _E_q_float_fallback(xf, q, trunc)
     return _entire_sum(xf, qf, qf, trunc.max_terms, tol, _MIN_FLOAT)

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line interface via subprocess."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -137,6 +138,19 @@ class TestSeriesCommand:
         # coefficient, so the finite-difference probe must disagree
         run_cli("series", "--check", "numeric", "--max-c", "0",
                 "--reproducible", expect=1)
+
+
+# stdout sha256 of the two commands the bitmask memo of
+# pairings.weight_exponent_counts speeds up, as printed by the leaf walk before it
+@pytest.mark.parametrize("args, digest", [
+    (("graphs", "--m", "4", "--max-c", "2"),
+     "ebaac1810381531c397be8082d86ca3e013a1d07b54b22b4b2f60a4e65ecef13"),
+    (("pairings", "--n", "7"),
+     "3f04c575da99e23aff551d8b6cc38eb086ac85fa21547428319c6da6f61a0468"),
+])
+def test_pairing_histogram_commands_are_pinned(args, digest):
+    stdout = run_cli(*args, "--reproducible").stdout
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
 
 class TestGraphsCommand:

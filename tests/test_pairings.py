@@ -1,5 +1,6 @@
 """Ordered pairings, their q-weights, and the double-factorial identity."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from qfj.pairings import (
     weight_exponent_counts,
     weighted_pairing_sum,
 )
+import qfj.pairings as pairings
+import qfj.qcore as qcore
 from qfj.qcore import QPolynomial, q_double_factorial
 
 
@@ -24,6 +27,36 @@ def double_factorial(m: int) -> int:
         out *= m
         m -= 2
     return out
+
+
+def leaf_walk_counts(n: int) -> dict[int, int]:
+    """Reference histogram: the one-leaf-per-pairing bitmask walk that
+    weight_exponent_counts used before its memo (2,027,025 leaves at n = 8)."""
+    size = 2 * n
+    between = [[0] * (size + 1) for _ in range(size + 1)]
+    for a in range(1, size + 1):
+        mask = 0
+        for b in range(a + 2, size + 1):
+            mask |= 1 << (b - 2)
+            between[a][b] = mask
+    counts: Counter[int] = Counter()
+
+    def rec(available: int, w: int):
+        if not available:
+            counts[w] += 1
+            return
+        a_bit = available & -available
+        a = a_bit.bit_length()
+        rest = available ^ a_bit
+        bb = rest
+        while bb:
+            b_bit = bb & -bb
+            b = b_bit.bit_length()
+            rec(rest ^ b_bit, w + (available & between[a][b]).bit_count())
+            bb ^= b_bit
+
+    rec((1 << size) - 1, 0)
+    return dict(counts)
 
 
 class TestOrderedPairing:
@@ -107,6 +140,45 @@ class TestWeights:
             e = weight(p).as_monomial()[0]
             direct[e] = direct.get(e, 0) + 1
         assert direct == dict(weight_exponent_counts(n))
+
+
+class TestMemoizedHistogram:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_equals_the_leaf_walk(self, n):
+        assert dict(weight_exponent_counts(n)) == leaf_walk_counts(n)
+
+    def test_largest_default_size_is_pinned(self):
+        counts = weight_exponent_counts(8)
+        assert sum(counts.values()) == double_factorial(15) == 2_027_025
+        assert max(counts) == 56
+        # the bracket product is consulted here, on the test side, only
+        closed = q_double_factorial(8).coefficients
+        assert [counts.get(w, 0) for w in range(len(closed))] == list(closed)
+
+    def test_walk_calls_no_bracket_algebra(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in ("q_bracket", "q_double_factorial"):
+            wrapped = counting(name, getattr(qcore, name))
+            monkeypatch.setattr(qcore, name, wrapped)
+            # also where pairings would see a name imported from qcore
+            monkeypatch.setattr(pairings, name, wrapped, raising=False)
+        monkeypatch.setattr(QPolynomial, "__mul__",
+                            counting("__mul__", QPolynomial.__mul__))
+        q_double_factorial.cache_clear()    # no cached product may hide a call
+        weight_exponent_counts.cache_clear()
+        assert sum(weight_exponent_counts(8).values()) == 2_027_025
+        assert not calls, dict(calls)
+
+    def test_limit_still_refuses_beyond_eight(self):
+        with pytest.raises(ResourceLimitError):
+            weight_exponent_counts(9)
 
 
 class TestWeightedSum:

@@ -153,6 +153,12 @@ class TestSmallQExponential:
             e_q(95.0, QParam(Fraction(99, 100)), TruncationPolicy.floating(512))
         assert e_q(95.0, QParam(Fraction(99, 100)), TruncationPolicy.floating(2048)) > 1e40
 
+    def test_float_overflow_inside_radius_raises(self):
+        # |x| = 1700 < 10000 and the ~1863-term hump fits the budget, but the
+        # peak term is beyond float range, where the sum used to return inf
+        with pytest.raises(EvaluationError, match=r"x=1700\.0, q=9999/10000 overflows"):
+            e_q(1700.0, QParam(Fraction(9999, 10000)), TruncationPolicy.floating(4000))
+
     @given(q_params, st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2),
                                   max_denominator=16),
            st.integers(min_value=12, max_value=30))
@@ -207,6 +213,14 @@ class TestLargeQExponential:
         got = E_q(-1.8, Q_HALF, TruncationPolicy.floating(216))
         want = float(E_q(Fraction(-9, 5), Q_HALF, TruncationPolicy.exact(200)))
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_reciprocal_of_an_overflowing_series_is_zero(self):
+        # e_q(689.6, 3447/3448) overflows float range, so E_q(-689.6) is below
+        # 1/1.8e308: zero to float resolution, as 1/inf gave before
+        q = QParam(Fraction(3447, 3448))
+        with pytest.raises(EvaluationError):
+            e_q(689.6, q, TruncationPolicy.floating(2048))
+        assert E_q(-689.6, q, TruncationPolicy.floating(2048)) == 0.0
 
     def test_alternating_sum_short_of_budget_raises(self):
         # eight terms of the alternating series are off by 3e-4
