@@ -19,18 +19,18 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import DomainError, QfjError, TruncationError
-from .fseries import fj_coefficient, fj_numeric, fj_term
+from .fseries import fj_coefficient, fj_series, fj_term
 from .pairings import enumerate_pairings, weight, weighted_pairing_sum
 from .qcalc import TruncationPolicy
 from .qcore import QParam, QPolynomial, QScalar, q_double_factorial
 from .qgauss import c_of_q, moment_by_integration, moment_closed_form
 from .qgraphs import graph_block_value, graph_sum_coefficient
-from .suites import SQRT_TWO_PI, SUITE_NAMES, run_suite
+from .suites import (MOMENT_TOLERANCE, SQRT_TWO_PI, SUITE_NAMES,
+                     g2_by_finite_difference, run_suite)
 
 RECORD_FIELDS = ("quantity", "inputs", "exact_value", "float_value",
                  "truncation_terms_used", "residual", "suite_pass")
 
-MOMENT_CHECK_TOLERANCE = 1e-8
 NUMERIC_CHECK_TOLERANCE = 1e-7
 EXACT_CQ_FAITHFUL_REL = 1e-13
 
@@ -61,6 +61,13 @@ def _format_exact(value):
     if isinstance(value, (int, Fraction)):
         return str(value)
     raise TypeError(f"cannot format {value!r} as an exact value")
+
+
+def _match_record(quantity, inputs, graph, series):
+    """Record of a graph-side exact value checked against its series counterpart."""
+    return _record(quantity, inputs, exact_value=_format_exact(graph),
+                   float_value=float(graph), residual=abs(float(graph) - float(series)),
+                   suite_pass=graph == series)
 
 
 def _parse_q(text: str) -> QParam:
@@ -114,6 +121,8 @@ def _emit_records(records, args) -> None:
 
 
 def _cmd_moments(args, q: QParam, policy: TruncationPolicy):
+    if args.max_k < 0:
+        raise DomainError(f"--max-k must be non-negative, got {args.max_k}")
     records = []
     worst = 0.0
     for k in range(args.max_k + 1):
@@ -129,7 +138,7 @@ def _cmd_moments(args, q: QParam, policy: TruncationPolicy):
             residual=residual,
         ))
     code = 0
-    if args.check and worst > MOMENT_CHECK_TOLERANCE:
+    if args.check and worst > MOMENT_TOLERANCE:
         code = 1
     return records, code
 
@@ -245,8 +254,7 @@ def _cmd_pairings(args, q: QParam, policy: TruncationPolicy):
 
 def _cmd_series(args, q: QParam, policy: TruncationPolicy):
     records = []
-    for m in range(args.order + 1):
-        coefficient = fj_coefficient(m, q, args.max_c)
+    for m, coefficient in enumerate(fj_series(args.order, q, args.max_c).coefficients):
         records.append(_record(
             "series_coefficient",
             {"m": m, "q": str(q), "max_c": args.max_c},
@@ -256,9 +264,7 @@ def _cmd_series(args, q: QParam, policy: TruncationPolicy):
     code = 0
     if args.check == "numeric":
         h = 5e-3
-        second_difference = (fj_numeric(h, q, policy) - 2.0 * fj_numeric(0.0, q, policy)
-                             + fj_numeric(-h, q, policy))
-        estimate = second_difference / (2.0 * h * h)
+        estimate = g2_by_finite_difference(q, policy, h)
         target = float(fj_coefficient(2, q, args.max_c))
         err = abs(estimate - target)
         passed = err < NUMERIC_CHECK_TOLERANCE
@@ -272,21 +278,12 @@ def _cmd_series(args, q: QParam, policy: TruncationPolicy):
         code = 0 if passed else 1
     elif args.check == "graphs":
         max_c = min(args.max_c, 4)
-        passed = True
-        for m in (0, 2):
-            graph = graph_sum_coefficient(m, q, max_c)
-            series = fj_coefficient(m, q, max_c)
-            match = graph == series
-            passed = passed and match
-            records.append(_record(
-                "series_graph_check",
-                {"m": m, "q": str(q), "max_c": max_c},
-                exact_value=_format_exact(graph),
-                float_value=float(graph),
-                residual=abs(float(graph) - float(series)),
-                suite_pass=match,
-            ))
-        code = 0 if passed else 1
+        checks = [_match_record("series_graph_check", {"m": m, "q": str(q), "max_c": max_c},
+                                graph_sum_coefficient(m, q, max_c),
+                                fj_coefficient(m, q, max_c))
+                  for m in (0, 2)]
+        records.extend(checks)
+        code = 0 if all(r["suite_pass"] for r in checks) else 1
     return records, code
 
 
@@ -294,39 +291,21 @@ def _cmd_graphs(args, q: QParam, policy: TruncationPolicy):
     if args.m % 2 != 0:
         raise DomainError(f"g^{args.m} has no graphs; pick an even power")
     records = []
-    all_match = True
     if args.blocks:
-        for c in range(args.max_c + 1):
-            for k in range(c + 1):
-                block = graph_block_value(c, args.m, k, q)
-                term = fj_term(c, k, args.m // 2, q)
-                match = block == term
-                all_match = all_match and match
-                records.append(_record(
-                    "graph_block",
-                    {"c": c, "dprime": args.m, "k": k, "q": str(q)},
-                    exact_value=_format_exact(block),
-                    float_value=float(block),
-                    residual=abs(float(block) - float(term)),
-                    suite_pass=match,
-                ))
-    total = graph_sum_coefficient(args.m, q, args.max_c)
-    series = fj_coefficient(args.m, q, args.max_c)
-    match = total == series
-    all_match = all_match and match
-    records.append(_record(
-        "graph_sum_coefficient",
-        {"m": args.m, "q": str(q), "max_c": args.max_c},
-        exact_value=_format_exact(total),
-        float_value=float(total),
-        residual=abs(float(total) - float(series)),
-        suite_pass=match,
-    ))
-    return records, 0 if all_match else 1
+        records = [_match_record("graph_block",
+                                 {"c": c, "dprime": args.m, "k": k, "q": str(q)},
+                                 graph_block_value(c, args.m, k, q),
+                                 fj_term(c, k, args.m // 2, q))
+                   for c in range(args.max_c + 1) for k in range(c + 1)]
+    records.append(_match_record(
+        "graph_sum_coefficient", {"m": args.m, "q": str(q), "max_c": args.max_c},
+        graph_sum_coefficient(args.m, q, args.max_c),
+        fj_coefficient(args.m, q, args.max_c)))
+    return records, 0 if all(r["suite_pass"] for r in records) else 1
 
 
 def _cmd_verify(args, q: QParam, policy: TruncationPolicy):
-    results = run_suite(args.suite, q)
+    results = run_suite(args.suite, q, policy)
     records = []
     all_pass = True
     for check in results:

@@ -1,8 +1,9 @@
 """Named verification suites behind the `verify` CLI command.
 
-Each suite is a list of independent checks returning CheckResult records.
-Checks favor exact equality where the arithmetic is exact and explicit
-tolerances where quadrature or float evaluation is involved; every detail
+Every check is a module-level function (q, trunc, <its own ranges>) ->
+CheckResult whose keyword defaults are its suite's ranges; the acceptance
+tests call the same functions with their own. Exact arithmetic is compared
+exactly, quadrature and floats within stated tolerances, and every detail
 string states what was compared.
 """
 
@@ -20,12 +21,15 @@ from .fseries import (fj_blocks, fj_coefficient, fj_coefficient_via_moments,
                       lambda_oracle)
 from .pairings import (OrderedPairing, enumerate_pairings, weight,
                        weight_exponent_counts, weighted_pairing_sum)
-from .qcalc import E_q, TruncationPolicy, XPoly, e_q, jackson_integral
+from .qcalc import (DEFAULT_POLICY, E_q, TruncationPolicy, XPoly, e_q,
+                    jackson_integral)
 from .qcore import QParam, q_bracket, q_double_factorial, q_factorial
 from .qgauss import c_of_q, kernel_eval, moment_by_integration, moment_closed_form
 from .qgraphs import graph_block_value, graph_sum_coefficient
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+MOMENT_TOLERANCE = 1e-8  # quadrature moments and their ratios vs closed forms
+CLASSICAL_PROBES = (Fraction(9, 10), Fraction(99, 100))  # q -> 1 trend points
 
 SUITE_NAMES = ("qcalc", "gauss", "pairings", "lambda", "series", "graphs", "all")
 
@@ -37,195 +41,209 @@ class CheckResult:
     detail: str
 
 
-def _default_q(q: QParam | None) -> QParam:
-    return q if q is not None else QParam(Fraction(1, 2))
+def _shrinking(name: str, label: str, qs, errs: list, bound: float) -> CheckResult:
+    """Pass when errs fall strictly along qs and the last one is under bound."""
+    ok = all(a > b for a, b in zip(errs, errs[1:])) and errs[-1] < bound
+    along = ", ".join(f"{err:.3e} at q={float(p)}" for p, err in zip(qs, errs))
+    return CheckResult(name, ok, f"{label}: {along}")
 
 
-def _qfact_eval(n: int, qv: Fraction) -> Fraction:
-    return q_factorial(n).eval(qv)
+def g2_by_finite_difference(q: QParam, trunc: TruncationPolicy, h: float) -> float:
+    """The g^2 coefficient of I(g) from the central second difference of
+    fj_numeric at g = 0 with step h; the error is O(h^2)."""
+    stencil = (fj_numeric(h, q, trunc) - 2.0 * fj_numeric(0.0, q, trunc)
+               + fj_numeric(-h, q, trunc))
+    return stencil / (2.0 * h * h)
 
 
-def _suite_qcalc(q: QParam) -> list[CheckResult]:
-    qv = q.value
-    out = []
-
+def q_derivative_product_rule(q: QParam, trunc: TruncationPolicy) -> CheckResult:
     f = XPoly((Fraction(1), Fraction(0), Fraction(1)))          # 1 + x^2
     g = XPoly((Fraction(0), Fraction(1), Fraction(0), Fraction(1)))  # x + x^3
     lhs = (f * g).q_derivative(q)
-    rhs = f.scale_argument(qv) * g.q_derivative(q) + f.q_derivative(q) * g
+    rhs = f.scale_argument(q.value) * g.q_derivative(q) + f.q_derivative(q) * g
     ok = all(lhs(Fraction(x, 7)) == rhs(Fraction(x, 7)) for x in range(-14, 15))
-    out.append(CheckResult("q-derivative-product-rule", ok,
-                           "d_q(fg) = f(qx) d_q g + (d_q f) g on a rational grid"))
+    return CheckResult("q-derivative-product-rule", ok,
+                       "d_q(fg) = f(qx) d_q g + (d_q f) g on a rational grid")
 
+
+def fundamental_theorem(q: QParam, trunc: TruncationPolicy) -> CheckResult:
     p = XPoly((Fraction(0), Fraction(-2), Fraction(0), Fraction(1)))  # x^3 - 2x
     b = Fraction(2)
     integral = jackson_integral(p.q_derivative(q), b, q).value
-    ok = integral == p(b) - p(Fraction(0))
-    out.append(CheckResult("fundamental-theorem", ok,
-                           f"integral of d_q(x^3-2x) over [0,2] = {integral}, "
-                           f"boundary difference = {p(b) - p(Fraction(0))}"))
+    return CheckResult("fundamental-theorem", integral == p(b) - p(Fraction(0)),
+                       f"integral of d_q(x^3-2x) over [0,2] = {integral}, "
+                       f"boundary difference = {p(b) - p(Fraction(0))}")
 
+
+def integration_by_parts(q: QParam, trunc: TruncationPolicy) -> CheckResult:
     u = XPoly((Fraction(0), Fraction(0), Fraction(1)))  # x^2
     v = XPoly((Fraction(0), Fraction(1)))               # x
-    lhs = jackson_integral(u.scale_argument(qv) * v.q_derivative(q), b, q).value
+    b = Fraction(2)
+    lhs = jackson_integral(u.scale_argument(q.value) * v.q_derivative(q), b, q).value
     rhs = (u(b) * v(b) - u(Fraction(0)) * v(Fraction(0))
            - jackson_integral(u.q_derivative(q) * v, b, q).value)
-    out.append(CheckResult("integration-by-parts", lhs == rhs,
-                           f"both sides equal {lhs}"))
+    return CheckResult("integration-by-parts", lhs == rhs, f"both sides equal {lhs}")
 
-    probe_q = QParam(Fraction(999, 1000))
+
+def classical_integral_probe(q: QParam, trunc: TruncationPolicy) -> CheckResult:
     quad = jackson_integral(XPoly((Fraction(0), Fraction(0), Fraction(1))),
-                            Fraction(1), probe_q).value
+                            Fraction(1), QParam(Fraction(999, 1000))).value
     err = abs(quad - Fraction(1, 3))
-    out.append(CheckResult("classical-integral-probe", err < Fraction(1, 1000),
-                           f"integral of x^2 over [0,1] at q=0.999 is off by {float(err):.3e}"))
-
-    worst = Fraction(0)
-    for m in range(1, 13):
-        acc = Fraction(0)
-        for j in range(m + 1):
-            acc += (Fraction((-1) ** j) * qv ** (j * (j - 1) // 2)
-                    / (_qfact_eval(j, qv) * _qfact_eval(m - j, qv)))
-        worst = max(worst, abs(acc))
-    out.append(CheckResult("exponential-inverse-series", worst == 0,
-                           "coefficients of e_q(x) E_q(-x) vanish through degree 12"))
-
-    product = e_q(0.3, q) * E_q(-0.3, q)
-    out.append(CheckResult("exponential-inverse-pointwise", abs(product - 1.0) < 1e-12,
-                           f"e_q(0.3) E_q(-0.3) = {product!r}"))
-    return out
+    return CheckResult("classical-integral-probe", err < Fraction(1, 1000),
+                       f"integral of x^2 over [0,1] at q=0.999 is off by {float(err):.3e}")
 
 
-def _suite_gauss(q: QParam) -> list[CheckResult]:
+def exponential_inverse_series(q: QParam, trunc: TruncationPolicy) -> CheckResult:
     qv = q.value
-    out = []
+    ok = all(sum(Fraction((-1) ** j) * qv ** (j * (j - 1) // 2)
+                 / (q_factorial(j).eval(qv) * q_factorial(m - j).eval(qv))
+                 for j in range(m + 1)) == 0
+             for m in range(1, 13))
+    return CheckResult("exponential-inverse-series", ok,
+                       "coefficients of e_q(x) E_q(-x) vanish through degree 12")
+
+
+def exponential_inverse_pointwise(q: QParam, trunc: TruncationPolicy) -> CheckResult:
+    product = e_q(0.3, q, trunc) * E_q(-0.3, q, trunc)
+    return CheckResult("exponential-inverse-pointwise", abs(product - 1.0) < 1e-12,
+                       f"e_q(0.3) E_q(-0.3) = {product!r}")
+
+
+def kernel_even(q: QParam, trunc: TruncationPolicy) -> CheckResult:
     exact = TruncationPolicy.exact(64)
-
-    pts = [Fraction(3, 2), Fraction(1, 4), Fraction(9, 8)]
-    ok = all(kernel_eval(x, q, exact) == kernel_eval(-x, q, exact) for x in pts)
-    out.append(CheckResult("kernel-even", ok, "kernel(x) = kernel(-x) exactly"))
-
-    worst = 0.0
-    for k in (0, 2, 4):
-        closed = float(moment_closed_form(k // 2).eval(qv))
-        quad = moment_by_integration(k, q)
-        worst = max(worst, abs(quad - closed))
-    out.append(CheckResult("moments-match-closed-form", worst < 1e-8,
-                           f"max |quadrature - closed form| = {worst:.3e} over k in 0,2,4"))
-
-    odd = [moment_by_integration(k, q) for k in (1, 3, 5)]
-    out.append(CheckResult("odd-moments-vanish", all(v == 0 for v in odd),
-                           "odd moments are exactly zero by declared parity"))
-
-    worst = 0.0
-    for n in (1, 2):
-        ratio = moment_by_integration(2 * n + 2, q) / moment_by_integration(2 * n, q)
-        target = float(q_bracket(2 * n + 1).eval(qv))
-        worst = max(worst, abs(ratio - target))
-    out.append(CheckResult("moment-recursion", worst < 1e-8,
-                           f"max |m(2n+2)/m(2n) - [2n+1]_q| = {worst:.3e}"))
-
-    a = c_of_q(q, method="interchanged_sum").float_value
-    b = c_of_q(q, method="double_sum").float_value
-    out.append(CheckResult("normalization-methods-agree", abs(a - b) < 1e-12,
-                           f"interchanged {a!r} vs double {b!r}"))
-
-    errs = [abs(c_of_q(QParam(Fraction(p, 1000))).float_value - SQRT_TWO_PI)
-            for p in (900, 990)]
-    out.append(CheckResult("normalization-classical-trend", errs[1] < errs[0],
-                           f"|c(q) - sqrt(2 pi)|: {errs[0]:.3e} at q=0.9, "
-                           f"{errs[1]:.3e} at q=0.99"))
-    return out
+    ok = all(kernel_eval(x, q, exact) == kernel_eval(-x, q, exact)
+             for x in (Fraction(3, 2), Fraction(1, 4), Fraction(9, 8)))
+    return CheckResult("kernel-even", ok, "kernel(x) = kernel(-x) exactly")
 
 
-def _suite_pairings(q: QParam) -> list[CheckResult]:
-    out = []
-
-    counts_ok = all(len(enumerate_pairings(n)) == math.prod(range(1, 2 * n, 2))
-                    for n in range(1, 6))
-    out.append(CheckResult("pairing-count", counts_ok,
-                           "(2n-1)!! pairings enumerated for n = 1..5"))
-
-    identity_ok = all(weighted_pairing_sum(n) == q_double_factorial(n)
-                      for n in range(1, 7))
-    out.append(CheckResult("weighted-sum-identity", identity_ok,
-                           "sum of pairing weights equals the q-double factorial, n = 1..6"))
-
-    exps = sorted(weight(p).as_monomial()[0] for p in enumerate_pairings(2))
-    out.append(CheckResult("n2-weight-spectrum", exps == [0, 1, 2],
-                           f"n=2 exponents are {exps}"))
-
-    max_ok = all(max(weight_exponent_counts(n)) == n * (n - 1) for n in range(1, 7))
-    out.append(CheckResult("max-exponent", max_ok,
-                           "largest weight exponent is n(n-1), n = 1..6"))
-
-    degeneration_ok = all(
-        weighted_pairing_sum(n).eval(Fraction(1)) == math.prod(range(1, 2 * n, 2))
-        for n in range(1, 7))
-    out.append(CheckResult("q-one-degeneration", degeneration_ok,
-                           "weights collapse to the bare pairing count at q = 1"))
-    return out
+def moments_match_closed_form(q: QParam, trunc: TruncationPolicy,
+                              ks=(0, 2, 4)) -> CheckResult:
+    worst = max(abs(moment_by_integration(k, q, trunc)
+                    - float(moment_closed_form(k // 2).eval(q.value))) for k in ks)
+    return CheckResult("moments-match-closed-form", worst < MOMENT_TOLERANCE,
+                       f"max |quadrature - closed form| = {worst:.3e} "
+                       f"over k in {','.join(map(str, ks))}")
 
 
-def _suite_lambda(q: QParam) -> list[CheckResult]:
-    out = []
+def odd_moments_vanish(q: QParam, trunc: TruncationPolicy, ks=(1, 3, 5)) -> CheckResult:
+    ok = all(moment_by_integration(k, q, trunc) == 0 for k in ks)
+    return CheckResult("odd-moments-vanish", ok,
+                       "odd moments are exactly zero by declared parity")
 
-    table = lambda_oracle(6, 6, q)
-    mismatches = [(c, d) for c in range(7) for d in range(7)
-                  if c + d <= 6 and lambda_closed_form(c, d, q) != table.lam(c, d)]
-    out.append(CheckResult("closed-form-matches-oracle", not mismatches,
-                           f"checked c+d <= 6 at q={q}; mismatches: {mismatches or 'none'}"))
 
-    row_ok = (lambda_closed_form(0, 0, q) == 1
-              and all(lambda_closed_form(c, 0, q) == 0 for c in range(1, 7)))
-    out.append(CheckResult("row-zero-collapses", row_ok,
-                           "lambda_{c,0} is 1 at c=0 and vanishes for c >= 1"))
+def moment_recursion(q: QParam, trunc: TruncationPolicy, ns=(1, 2)) -> CheckResult:
+    worst = max(abs(moment_by_integration(2 * n + 2, q, trunc)
+                    / moment_by_integration(2 * n, q, trunc)
+                    - float(q_bracket(2 * n + 1).eval(q.value))) for n in ns)
+    return CheckResult("moment-recursion", worst < MOMENT_TOLERANCE,
+                       f"max |m(2n+2)/m(2n) - [2n+1]_q| = {worst:.3e}")
 
+
+def normalization_methods_agree(q: QParam, trunc: TruncationPolicy) -> CheckResult:
+    a = c_of_q(q, trunc, method="interchanged_sum").float_value
+    b = c_of_q(q, trunc, method="double_sum").float_value
+    return CheckResult("normalization-methods-agree", abs(a - b) < 1e-12,
+                       f"interchanged {a!r} vs double {b!r}")
+
+
+def normalization_classical_trend(q: QParam, trunc: TruncationPolicy,
+                                  qs=CLASSICAL_PROBES, final_gap=math.inf) -> CheckResult:
+    errs = [abs(c_of_q(QParam(p), trunc).float_value - SQRT_TWO_PI) for p in qs]
+    return _shrinking("normalization-classical-trend", "|c(q) - sqrt(2 pi)|",
+                      qs, errs, final_gap)
+
+
+def pairing_count(q: QParam, trunc: TruncationPolicy) -> CheckResult:
+    ok = all(len(enumerate_pairings(n)) == math.prod(range(1, 2 * n, 2))
+             for n in range(1, 6))
+    return CheckResult("pairing-count", ok, "(2n-1)!! pairings enumerated for n = 1..5")
+
+
+def weighted_sum_identity(q: QParam, trunc: TruncationPolicy) -> CheckResult:
+    ok = all(weighted_pairing_sum(n) == q_double_factorial(n) for n in range(1, 7))
+    return CheckResult("weighted-sum-identity", ok,
+                       "sum of pairing weights equals the q-double factorial, n = 1..6")
+
+
+def n2_weight_spectrum(q: QParam, trunc: TruncationPolicy) -> CheckResult:
+    weights = [weight(p) for p in enumerate_pairings(2)]
+    exps = sorted(w.as_monomial()[0] for w in weights)
+    ok = exps == [0, 1, 2] and sum(weights[1:], weights[0]) == q_bracket(3)
+    return CheckResult("n2-weight-spectrum", ok, f"n=2 exponents are {exps}")
+
+
+def max_exponent(q: QParam, trunc: TruncationPolicy) -> CheckResult:
+    ok = all(max(weight_exponent_counts(n)) == n * (n - 1) for n in range(1, 7))
+    return CheckResult("max-exponent", ok, "largest weight exponent is n(n-1), n = 1..6")
+
+
+def q_one_degeneration(q: QParam, trunc: TruncationPolicy) -> CheckResult:
+    ok = all(weighted_pairing_sum(n).eval(Fraction(1)) == math.prod(range(1, 2 * n, 2))
+             for n in range(1, 7))
+    return CheckResult("q-one-degeneration", ok,
+                       "weights collapse to the bare pairing count at q = 1")
+
+
+def closed_form_matches_oracle(q: QParam, trunc: TruncationPolicy,
+                               max_total=6) -> CheckResult:
+    table = lambda_oracle(max_total, max_total, q)
+    mismatches = [(c, d) for c in range(max_total + 1) for d in range(max_total + 1 - c)
+                  if lambda_closed_form(c, d, q) != table.lam(c, d)]
+    return CheckResult("closed-form-matches-oracle", not mismatches,
+                       f"checked c+d <= {max_total} at q={q}; "
+                       f"mismatches: {mismatches or 'none'}")
+
+
+def row_zero_collapses(q: QParam, trunc: TruncationPolicy, max_c=6) -> CheckResult:
+    ok = (lambda_closed_form(0, 0, q) == 1
+          and all(lambda_closed_form(c, 0, q) == 0 for c in range(1, max_c + 1)))
+    return CheckResult("row-zero-collapses", ok,
+                       "lambda_{c,0} is 1 at c=0 and vanishes for c >= 1")
+
+
+def classical_diagonal_probe(q: QParam, trunc: TruncationPolicy) -> CheckResult:
     probe_q = QParam(Fraction(999, 1000))
-    worst = 0.0
-    for d in range(4):
-        value = float(lambda_closed_form(0, d, probe_q)) * math.factorial(d)
-        worst = max(worst, abs(value - 1.0))
-    out.append(CheckResult("classical-diagonal-probe", worst < 0.01,
-                           f"max |d! lambda_(0,d) - 1| = {worst:.3e} at q=0.999"))
-    return out
+    worst = max(abs(float(lambda_closed_form(0, d, probe_q)) * math.factorial(d) - 1.0)
+                for d in range(4))
+    return CheckResult("classical-diagonal-probe", worst < 0.01,
+                       f"max |d! lambda_(0,d) - 1| = {worst:.3e} at q=0.999")
 
 
-def _suite_series(q: QParam) -> list[CheckResult]:
-    qv = q.value
-    out = []
-
+def g0_normalizes(q: QParam, trunc: TruncationPolicy) -> CheckResult:
     blocks = fj_blocks(0, q, 6)
-    ok = blocks[0] == 1 and all(b == 0 for b in blocks[1:])
-    out.append(CheckResult("g0-normalizes", ok,
-                           "g^0 coefficient is 1 with every c >= 1 block cancelling"))
-
-    odd_ok = all(fj_coefficient(m, q) == 0 for m in (1, 3, 5))
-    out.append(CheckResult("odd-powers-vanish", odd_ok,
-                           "odd series coefficients are exactly zero"))
-
-    route_ok = all(
-        fj_coefficient(m, probe, 6) == fj_coefficient_via_moments(m, probe, 6)
-        for m in (0, 2) for probe in (q, QParam(Fraction(1, 4))))
-    out.append(CheckResult("moment-route-agreement", route_ok,
-                           "direct series and moment resummation agree exactly, m = 0, 2"))
-
-    errs = [abs(float(fj_coefficient(2, QParam(Fraction(p, 1000)), 12)) - 5.0 / 24.0)
-            for p in (900, 990)]
-    out.append(CheckResult("classical-limit-trend", errs[1] < errs[0],
-                           f"|A2(q) - 5/24|: {errs[0]:.3e} at q=0.9, {errs[1]:.3e} at q=0.99"))
-
-    series = fj_series(4, q)
-    numeric = fj_numeric(0.05, q)
-    gap = abs(numeric - series.eval(0.05))
-    out.append(CheckResult("numeric-matches-series", gap < 1e-10,
-                           f"float quadrature vs order-4 series at g=0.05: gap {gap:.3e}"))
-
-    out.append(_g6_scaling_check(q))
-    return out
+    ok = (blocks[0] == 1 and all(b == 0 for b in blocks[1:])
+          and fj_coefficient(0, q) == 1)
+    return CheckResult("g0-normalizes", ok,
+                       "g^0 coefficient is 1 with every c >= 1 block cancelling")
 
 
-def _g6_scaling_check(q: QParam) -> CheckResult:
+def odd_powers_vanish(q: QParam, trunc: TruncationPolicy) -> CheckResult:
+    ok = all(fj_coefficient(m, q) == 0 for m in (1, 3, 5))
+    return CheckResult("odd-powers-vanish", ok, "odd series coefficients are exactly zero")
+
+
+def moment_route_agreement(q: QParam, trunc: TruncationPolicy) -> CheckResult:
+    ok = all(fj_coefficient(m, probe, 6) == fj_coefficient_via_moments(m, probe, 6)
+             for m in (0, 2) for probe in (q, QParam(Fraction(1, 4))))
+    return CheckResult("moment-route-agreement", ok,
+                       "direct series and moment resummation agree exactly, m = 0, 2")
+
+
+def classical_limit_trend(q: QParam, trunc: TruncationPolicy,
+                          qs=CLASSICAL_PROBES, final_rel=math.inf) -> CheckResult:
+    target = 5.0 / 24.0
+    errs = [abs(float(fj_coefficient(2, QParam(p), 12)) - target) for p in qs]
+    return _shrinking("classical-limit-trend", "|A2(q) - 5/24|", qs, errs,
+                      final_rel * target)
+
+
+def numeric_matches_series(q: QParam, trunc: TruncationPolicy) -> CheckResult:
+    gap = abs(fj_numeric(0.05, q, trunc) - fj_series(4, q).eval(0.05))
+    return CheckResult("numeric-matches-series", gap < 1e-10,
+                       f"float quadrature vs order-4 series at g=0.05: gap {gap:.3e}")
+
+
+def g6_scaling(q: QParam, trunc: TruncationPolicy) -> CheckResult:
     """Residual against the order-4 series must scale like g^6.
 
     Needs the high-precision quadrature: at g = 0.025 the residual is below
@@ -234,81 +252,82 @@ def _g6_scaling_check(q: QParam) -> CheckResult:
     """
     dps = 60
     series = fj_series(4, q, max_c=36)
-    gs = (Fraction(1, 10), Fraction(1, 20), Fraction(1, 40))
     errs = []
     with mp.workdps(dps):
-        for g in gs:
-            numeric = fj_numeric(g, q, dps=dps)
+        for g in (Fraction(1, 10), Fraction(1, 20), Fraction(1, 40)):
             exact = series.eval(g).rational_part
             target = mp.mpf(exact.numerator) / exact.denominator
-            errs.append(abs(numeric - target))
+            errs.append(abs(fj_numeric(g, q, trunc, dps=dps) - target))
         ratios = [errs[0] / errs[1], errs[1] / errs[2]]
-        ok = all(32 <= r <= 128 for r in ratios)
         detail = (f"residual ratios under g -> g/2: "
                   f"{float(ratios[0]):.1f}, {float(ratios[1]):.1f} (want ~64)")
-    return CheckResult("g6-scaling", ok, detail)
+    return CheckResult("g6-scaling", all(32 <= r <= 128 for r in ratios), detail)
 
 
-def _suite_graphs(q: QParam) -> list[CheckResult]:
-    out = []
+def g0_block_cancellation(q: QParam, trunc: TruncationPolicy) -> CheckResult:
+    ok = graph_block_value(0, 0, 0, q) == 1 and all(
+        sum((graph_block_value(c, 0, k, q) for k in range(c + 1)),
+            start=graph_block_value(0, 0, 0, q) * 0) == 0
+        for c in (1, 2))
+    return CheckResult("g0-block-cancellation", ok,
+                       "kernel-only rows cancel: c=0 gives 1, c=1,2 give 0")
 
-    one = graph_block_value(0, 0, 0, q)
-    rows_ok = one == 1
-    for c in (1, 2):
-        row = sum((graph_block_value(c, 0, k, q) for k in range(c + 1)),
-                  start=graph_block_value(0, 0, 0, q) * 0)
-        rows_ok = rows_ok and row == 0
-    out.append(CheckResult("g0-block-cancellation", rows_ok,
-                           "kernel-only rows cancel: c=0 gives 1, c=1,2 give 0"))
 
-    mismatches = []
-    for probe in (q, QParam(Fraction(1, 4))):
-        for dprime in (0, 2):
-            for c in range((12 - 3 * dprime) // 2 + 1):
-                for k in range(c + 1):
-                    if graph_block_value(c, dprime, k, probe) != fj_term(
-                            c, k, dprime // 2, probe):
-                        mismatches.append((c, dprime, k, str(probe)))
-    out.append(CheckResult("blocks-match-series-terms", not mismatches,
-                           f"all blocks with <= 12 flags; mismatches: {mismatches or 'none'}"))
+def blocks_match_series_terms(q: QParam, trunc: TruncationPolicy,
+                              flags=12) -> CheckResult:
+    mismatches = [(c, dprime, k, str(probe))
+                  for probe in (q, QParam(Fraction(1, 4)))
+                  for dprime in range(0, flags // 3 + 1, 2)
+                  for c in range((flags - 3 * dprime) // 2 + 1)
+                  for k in range(c + 1)
+                  if graph_block_value(c, dprime, k, probe) != fj_term(
+                      c, k, dprime // 2, probe)]
+    return CheckResult("blocks-match-series-terms", not mismatches,
+                       f"all blocks with <= {flags} flags; "
+                       f"mismatches: {mismatches or 'none'}")
 
+
+def flag_order_independence(q: QParam, trunc: TruncationPolicy) -> CheckResult:
     forward = weighted_pairing_sum(4)
-    size = 8
-    reversed_total = sum(
-        (weight(_reverse_pairing(p, size)) for p in enumerate_pairings(4)),
-        start=forward * 0)
-    out.append(CheckResult("flag-order-independence", reversed_total == forward,
-                           "pairing weight sum is invariant under reversing the flag line"))
-
-    agg_ok = graph_sum_coefficient(2, q, max_c=3) == fj_coefficient(2, q, 3)
-    out.append(CheckResult("aggregate-matches-series", agg_ok,
-                           "graph sum reproduces the g^2 coefficient at max_c = 3"))
-    return out
+    # reading the flags 1..8 right to left maps the pair (a, b) to (9-b, 9-a)
+    mirrored = [OrderedPairing(tuple(sorted((9 - b, 9 - a) for a, b in p.pairs)))
+                for p in enumerate_pairings(4)]
+    return CheckResult("flag-order-independence",
+                       sum(map(weight, mirrored), start=forward * 0) == forward,
+                       "pairing weight sum is invariant under reversing the flag line")
 
 
-def _reverse_pairing(p: OrderedPairing, size: int) -> OrderedPairing:
-    pairs = sorted((size + 1 - b, size + 1 - a) for a, b in p.pairs)
-    return OrderedPairing(tuple(pairs))
+def aggregate_matches_series(q: QParam, trunc: TruncationPolicy,
+                             cases=((2, 3),)) -> CheckResult:
+    ok = all(graph_sum_coefficient(m, q, max_c=max_c) == fj_coefficient(m, q, max_c)
+             for m, max_c in cases)
+    reproduced = ", ".join(f"g^{m} coefficient at max_c = {max_c}" for m, max_c in cases)
+    return CheckResult("aggregate-matches-series", ok, f"graph sum reproduces the {reproduced}")
 
 
 _SUITES = {
-    "qcalc": _suite_qcalc,
-    "gauss": _suite_gauss,
-    "pairings": _suite_pairings,
-    "lambda": _suite_lambda,
-    "series": _suite_series,
-    "graphs": _suite_graphs,
+    "qcalc": (q_derivative_product_rule, fundamental_theorem, integration_by_parts,
+              classical_integral_probe, exponential_inverse_series,
+              exponential_inverse_pointwise),
+    "gauss": (kernel_even, moments_match_closed_form, odd_moments_vanish,
+              moment_recursion, normalization_methods_agree,
+              normalization_classical_trend),
+    "pairings": (pairing_count, weighted_sum_identity, n2_weight_spectrum,
+                 max_exponent, q_one_degeneration),
+    "lambda": (closed_form_matches_oracle, row_zero_collapses, classical_diagonal_probe),
+    "series": (g0_normalizes, odd_powers_vanish, moment_route_agreement,
+               classical_limit_trend, numeric_matches_series, g6_scaling),
+    "graphs": (g0_block_cancellation, blocks_match_series_terms,
+               flag_order_independence, aggregate_matches_series),
 }
 
 
-def run_suite(name: str, q: QParam | None = None) -> list[CheckResult]:
-    """Run one named suite (or 'all') at the given q, default 1/2."""
+def run_suite(name: str, q: QParam | None = None,
+              trunc: TruncationPolicy = DEFAULT_POLICY) -> list[CheckResult]:
+    """Run one named suite (or 'all') at the given q, default 1/2, with every
+    series and quadrature cut off by trunc."""
     if name not in SUITE_NAMES:
         raise DomainError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    qp = _default_q(q)
-    if name == "all":
-        results = []
-        for key in SUITE_NAMES[:-1]:
-            results.extend(_SUITES[key](qp))
-        return results
-    return _SUITES[name](qp)
+    qp = q if q is not None else QParam(Fraction(1, 2))
+    keys = SUITE_NAMES[:-1] if name == "all" else (name,)
+    return [check(qp, trunc) for key in keys for check in _SUITES[key]]

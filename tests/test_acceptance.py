@@ -1,30 +1,21 @@
 """Acceptance gate: the eleven contract checks, one test per criterion.
 
-Each criterion prints a single pass/fail line (capture is suspended so the
-lines always reach the console) and enforces its runtime budget.
+Each criterion runs the `verify` suite checks of qfj.suites with its own
+ranges, prints a single pass/fail line (capture is suspended so the lines
+always reach the console) and enforces its runtime budget.
 """
 
-import math
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from qfj.fseries import (
-    fj_blocks,
-    fj_coefficient,
-    fj_numeric,
-    lambda_closed_form,
-    lambda_oracle,
-)
-from qfj.pairings import enumerate_pairings, weight, weighted_pairing_sum
+from qfj import suites
+from qfj.fseries import fj_coefficient
 from qfj.qcalc import DEFAULT_POLICY, TruncationPolicy
-from qfj.qcore import QParam, q_bracket, q_double_factorial, q_factorial
-from qfj.qgauss import c_of_q, moment_by_integration, moment_closed_form
-from qfj.qgraphs import graph_block_value, graph_sum_coefficient
-from qfj.fseries import fj_term
+from qfj.qcore import QParam
 
 Q_HALF = QParam(Fraction(1, 2))
-SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+CLASSICAL_QS = (Fraction(9, 10), Fraction(99, 100), Fraction(999, 1000))
 
 
 def _report(capsys, num: int, passed: bool, detail: str, elapsed: float,
@@ -49,108 +40,70 @@ def criterion(capsys, num: int, budget: float, detail: str):
     assert elapsed <= budget, f"runtime {elapsed:.2f} s over the {budget} s budget"
 
 
+def check(fn, q=Q_HALF, trunc=DEFAULT_POLICY, **ranges):
+    result = fn(q, trunc, **ranges)
+    assert result.passed, (result.name, str(q), result.detail)
+
+
 def test_c01_pairing_identity_exact(capsys):
     with criterion(capsys, 1, 5.0, "weighted pairing sum equals q-double factorial, n=1..6"):
-        for n in range(1, 7):
-            assert weighted_pairing_sum(n) == q_double_factorial(n), n
+        check(suites.weighted_sum_identity)
 
 
 def test_c02_two_pair_weights(capsys):
     with criterion(capsys, 2, 1.0, "n=2 weights are {1, q, q^2} and sum to [3]_q"):
-        weights = [weight(p) for p in enumerate_pairings(2)]
-        exponents = sorted(w.as_monomial()[0] for w in weights)
-        assert exponents == [0, 1, 2]
-        total = weights[0] + weights[1] + weights[2]
-        assert total == q_bracket(3)
+        check(suites.n2_weight_spectrum)
 
 
 def test_c03_moments_match_closed_form(capsys):
     with criterion(capsys, 3, 10.0, "integrated moments hit [2n-1]_q!! within 1e-8, "
                             "odd moments exactly zero"):
-        policy = TruncationPolicy(max_terms=512)
         for qv in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-            q = QParam(qv)
-            for n in range(0, 6):
-                got = moment_by_integration(2 * n, q, policy)
-                want = float(moment_closed_form(n).eval(q))
-                assert abs(got - want) < 1e-8, (qv, n, got, want)
-            for k in range(1, 11, 2):
-                assert moment_by_integration(k, q, policy) == 0.0, (qv, k)
+            check(suites.moments_match_closed_form, QParam(qv), ks=range(0, 11, 2))
+            check(suites.odd_moments_vanish, QParam(qv), ks=range(1, 11, 2))
 
 
 def test_c04_moment_recursion(capsys):
     with criterion(capsys, 4, 5.0, "consecutive even moments step by [2n+1]_q within 1e-8"):
-        vals = [moment_by_integration(2 * n, Q_HALF, DEFAULT_POLICY)
-                for n in range(0, 6)]
-        for n in range(0, 5):
-            ratio = vals[n + 1] / vals[n]
-            want = float(q_bracket(2 * n + 1).eval(Q_HALF))
-            assert abs(ratio - want) < 1e-8, (n, ratio, want)
+        check(suites.moment_recursion, ns=range(5))
 
 
 def test_c05_normalization_methods_and_limit(capsys):
     with criterion(capsys, 5, 5.0, "c(q) methods agree to 1e-12; |c(q)-sqrt(2pi)| "
                            "shrinks along 0.9, 0.99, 0.999 and is < 0.05"):
         for qv in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)):
-            q = QParam(qv)
-            a = c_of_q(q, DEFAULT_POLICY, method="interchanged_sum").float_value
-            b = c_of_q(q, DEFAULT_POLICY, method="double_sum").float_value
-            assert abs(a - b) < 1e-12, qv
-        wide = TruncationPolicy(max_terms=2048)
-        gaps = []
-        for qv in (Fraction(9, 10), Fraction(99, 100), Fraction(999, 1000)):
-            c_val = c_of_q(QParam(qv), wide).float_value
-            gaps.append(abs(c_val - SQRT_TWO_PI))
-        assert gaps[0] > gaps[1] > gaps[2]
-        assert gaps[2] < 0.05
+            check(suites.normalization_methods_agree, QParam(qv))
+        check(suites.normalization_classical_trend, trunc=TruncationPolicy(max_terms=2048),
+              qs=CLASSICAL_QS, final_gap=0.05)
 
 
 def test_c06_exponential_inverse(capsys):
     with criterion(capsys, 6, 1.0, "e_q * E_q(-x) convolution vanishes exactly "
                            "through degree 12"):
-        q = Q_HALF
-        small = [Fraction(1) / q_factorial(n).eval(q) for n in range(13)]
-        large = [Fraction((-1) ** n) * q.value ** (n * (n - 1) // 2)
-                 / q_factorial(n).eval(q) for n in range(13)]
-        for order in range(1, 13):
-            conv = sum(small[j] * large[order - j] for j in range(order + 1))
-            assert conv == 0, order
+        check(suites.exponential_inverse_series)
 
 
 def test_c07_lambda_closed_form_vs_oracle(capsys):
     with criterion(capsys, 7, 10.0, "weight-transfer coefficients equal the "
                             "series-division oracle, c+d <= 8"):
         for qv in (Fraction(1, 4), Fraction(1, 2)):
-            q = QParam(qv)
-            table = lambda_oracle(8, 8, q)
-            for c in range(9):
-                for d in range(9 - c):
-                    assert table.lam(c, d) == lambda_closed_form(c, d, q), (qv, c, d)
-            for c in range(1, 9):
-                assert lambda_closed_form(c, 0, q).rational_part == 0, (qv, c)
-        assert lambda_closed_form(0, 0, Q_HALF).rational_part == 1
+            check(suites.closed_form_matches_oracle, QParam(qv), max_total=8)
+            check(suites.row_zero_collapses, QParam(qv), max_c=8)
 
 
 def test_c08_series_normalization_and_parity(capsys):
     with criterion(capsys, 8, 5.0, "constant term is 1 with per-block cancellation, "
                            "odd orders vanish"):
-        blocks = fj_blocks(0, Q_HALF, 6)
-        assert blocks[0].rational_part == 1
-        assert all(b.rational_part == 0 for b in blocks[1:]), [str(b) for b in blocks]
-        assert fj_coefficient(0, Q_HALF).rational_part == 1
-        for m in (1, 3, 5):
-            assert fj_coefficient(m, Q_HALF).rational_part == 0, m
+        check(suites.g0_normalizes)
+        check(suites.odd_powers_vanish)
 
 
 def test_c09_finite_difference_oracle(capsys):
     with criterion(capsys, 9, 30.0, "finite-difference curvature of the numeric "
                             "integral reproduces the g^2 coefficient at O(h^2)"):
         target = float(fj_coefficient(2, Q_HALF, 20).rational_part)
-        errors = []
-        for h in (1e-2, 5e-3):
-            stencil = (fj_numeric(h, Q_HALF) - 2.0 * fj_numeric(0.0, Q_HALF)
-                       + fj_numeric(-h, Q_HALF))
-            errors.append(abs(stencil / (2.0 * h * h) - target))
+        errors = [abs(suites.g2_by_finite_difference(Q_HALF, DEFAULT_POLICY, h) - target)
+                  for h in (1e-2, 5e-3)]
         assert errors[0] > errors[1]
         ratio = errors[0] / errors[1]
         assert 3.0 <= ratio <= 5.0, (errors, ratio)
@@ -159,22 +112,12 @@ def test_c09_finite_difference_oracle(capsys):
 def test_c10_classical_limit_of_second_order(capsys):
     with criterion(capsys, 10, 30.0, "g^2 coefficient approaches 5/24 along "
                              "q = 0.9, 0.99, 0.999, within 2%"):
-        target = 5.0 / 24.0
-        errs = []
-        for qv in (Fraction(9, 10), Fraction(99, 100), Fraction(999, 1000)):
-            got = float(fj_coefficient(2, QParam(qv), 12).rational_part)
-            errs.append(abs(got - target))
-        assert errs[0] > errs[1] > errs[2]
-        assert errs[2] < 0.02 * target
+        check(suites.classical_limit_trend, qs=CLASSICAL_QS, final_rel=0.02)
 
 
 def test_c11_graph_sum_reproduces_series(capsys):
     with criterion(capsys, 11, 300.0, "graph sums equal series coefficients exactly, "
                               "blockwise and in aggregate"):
-        for m, max_c in ((0, 4), (2, 4), (4, 2)):
-            assert graph_sum_coefficient(m, Q_HALF, max_c) == fj_coefficient(
-                m, Q_HALF, max_c), (m, max_c)
-            for c in range(max_c + 1):
-                for k in range(c + 1):
-                    assert graph_block_value(c, m, k, Q_HALF) == fj_term(
-                        c, k, m // 2, Q_HALF), (m, c, k)
+        # 16 flags covers every block of (m, max_c) = (0, 4), (2, 4) and (4, 2)
+        check(suites.blocks_match_series_terms, flags=16)
+        check(suites.aggregate_matches_series, cases=((0, 4), (2, 4), (4, 2)))

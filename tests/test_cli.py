@@ -37,6 +37,13 @@ def test_invalid_q_exits_with_usage_error(bad_q):
     assert proc.stderr
 
 
+@pytest.mark.parametrize("args", [("series", "--order", "-1"), ("moments", "--max-k", "-1")])
+def test_negative_order_exits_with_usage_error(args):
+    proc = run_cli(*args, expect=2)
+    assert proc.stdout == ""
+    assert "must be non-negative" in proc.stderr
+
+
 class TestMoments:
     def test_records_and_exact_values(self):
         proc = run_cli("moments", "--max-k", "4", "--q", "1/2", "--reproducible")
@@ -176,3 +183,20 @@ class TestVerifyCommand:
         assert records
         assert all(r["suite_pass"] is True for r in records)
         assert all(r["quantity"] == "verification_check" for r in records)
+
+    def test_output_is_pinned(self):
+        # stdout sha256 of the suites as written before the checks became shared
+        # functions with the acceptance gate
+        stdout = run_cli("verify", "--suite", "all", "--reproducible").stdout
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "75ff5274807335e00d8ee813a70d1c588cb2a059a096a68f8069cff7bc885929")
+
+    def test_max_terms_reaches_the_checks(self):
+        # at q = 0.99 the moment node sums need more than the default 512 nodes
+        proc = run_cli("verify", "--q", "99/100", "--suite", "gauss", expect=2)
+        assert "raise max_terms" in proc.stderr
+        proc = run_cli("verify", "--q", "99/100", "--max-terms", "4096",
+                       "--suite", "gauss", "--reproducible")
+        records = json_records(proc.stdout)
+        assert len(records) == 6
+        assert all(r["suite_pass"] is True for r in records)
