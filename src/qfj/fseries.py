@@ -22,6 +22,8 @@ from .qcalc import (DEFAULT_POLICY, TruncationPolicy, E_q, _entire_sum,
 from .qcore import QParam, QScalar, as_fraction, binomial
 from .qgauss import _interchanged_c_mp, c_of_q, nu
 
+PER_Q_CACHE_SIZE = 256  # entries per (n, q) memo: a few q values' worth
+
 
 @dataclass(frozen=True, eq=False)
 class PowerSeries1:
@@ -144,7 +146,7 @@ def _low_brackets(qv: Fraction) -> tuple[Fraction, Fraction]:
     return bracket2, bracket2 * (bracket2 + qv * qv)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PER_Q_CACHE_SIZE)
 def _qsq_factorial_at(m: int, qv: Fraction) -> Fraction:
     """[m]_{q^2}! at qv; equals q_squared_factorial(m).eval(qv)."""
     return _bracket_product(qv * qv, range(1, m + 1))
@@ -202,7 +204,7 @@ def lambda_oracle(max_c: int, max_d: int, q: QParam) -> LambdaTable:
     return LambdaTable(q, values, max_c, max_d)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PER_Q_CACHE_SIZE)
 def _ddf_at(j: int, qv: Fraction) -> Fraction:
     """[2j-1]!!_q = [1]_q [3]_q ... [2j-1]_q at qv; equals
     q_double_factorial(j).eval(qv)."""

@@ -137,44 +137,64 @@ def _interchanged_c_mp(qv: Fraction, max_terms: int, extra_dps: int = 0) -> tupl
         return +c_value, needed
 
 
+def _interchanged_nested(qv: Fraction, n: int, terms: int, damping=1) -> Fraction:
+    """sum_{j<terms} damping^j T_j(n), T_j(n) = (-1)^j q^(j(j+1)) /
+    ((1-q^(2n+2j+1)) prod_{i<=j} (1-q^(2i))), exactly (T_j(0) are the
+    _interchanged_terms). Summed in the nested form T_0 (1 + r_0 (1 + r_1 (...))),
+    r_j = damping T_(j+1)/T_j: each step adds 1 instead of two large Fractions."""
+    nested = Fraction(1)
+    for j in reversed(range(terms - 1)):
+        ratio = (-damping * qv ** (2 * j + 2) * (1 - qv ** (2 * n + 2 * j + 1))
+                 / ((1 - qv ** (2 * n + 2 * j + 3)) * (1 - qv ** (2 * j + 2))))
+        nested = 1 + ratio * nested
+    return nested / (1 - qv ** (2 * n + 1))
+
+
 def _node_sum(n: int, q: QParam, trunc: TruncationPolicy):
     """Jackson node sum of x^(2n) * kernel over [0, nu], without the (1-q) nu
     node weight: sum_m q^m x_m^(2n) kernel(x_m^2) at x_m^2 = q^(2m) nu^2.
     Returns (sum, nodes used).
 
-    Exact mode sums the full budget. Float mode stops on the guaranteed
-    envelope bound (kernel at most 1 on the support), tail <= q^m x_m^(2n)
-    d/(1-d) with d = q^(2n+1), not on the last term: near q = 1 the first
-    nodes sit where the kernel is below float resolution, and noise-scale
-    terms would satisfy any relative smallness test long before the true
-    contributions (which grow as the nodes move inward) have been summed.
-    When the budget runs out with that bound above 1e-9 of the sum (a guard
-    deliberately coarser than the stopping tolerance, which would
-    false-alarm near q = 1), it raises TruncationError. Since the kernel is
-    at most 1, the bound after m nodes is at least d^(m+1) of the sum; a
-    budget M with d^M above both the tolerance and 1e-9 (by a 1 % margin
-    for rounding) can neither stop nor pass the guard, and is refused before
-    any kernel is evaluated.
+    Exact mode sums the full budget, M = max_terms nodes of the M-term kernel,
+    by kernel term j and without evaluating a kernel: the nodes of term j are
+    geometric in q^(2n+2j+1), so the sum is
+    nu^(2n) sum_{j<M} T_j(n) (1 - q^((2n+2j+1)M)) (see _interchanged_nested).
+
+    Float mode runs node by node and stops on the guaranteed envelope bound
+    (kernel at most 1 on the support), tail <= q^m x_m^(2n) d/(1-d) with
+    d = q^(2n+1), not on the last term: near q = 1 the first nodes sit where
+    the kernel is below float resolution, and noise-scale terms would satisfy
+    any relative smallness test long before the true contributions (which
+    grow as the nodes move inward) have been summed. When the budget runs out
+    with that bound above 1e-9 of the sum (a guard deliberately coarser than
+    the stopping tolerance, which would false-alarm near q = 1), it raises
+    TruncationError. Since the kernel is at most 1, the bound after m nodes
+    is at least d^(m+1) of the sum; a budget M with d^M above both the
+    tolerance and 1e-9 (by a 1 % margin for rounding) can neither stop nor
+    pass the guard, and is refused before any kernel is evaluated.
     """
-    exact = trunc.is_exact
-    qv = q.value if exact else q.as_float
+    budget = trunc.max_terms
+    if trunc.is_exact:
+        qv = q.value
+        rectangle = (_interchanged_nested(qv, n, budget) - qv ** ((2 * n + 1) * budget)
+                     * _interchanged_nested(qv, n, budget, qv ** (2 * budget)))
+        return rectangle / (1 - qv) ** n, budget
+    qv = q.as_float
     decay = qv ** (2 * n + 1)
     tol = trunc.relative_tail_tolerance
-    budget = trunc.max_terms
-    total = tail = qv * 0
+    total = tail = 0.0
     weight = 1
     x2 = 1 / (1 - qv)
-    if not exact and decay ** budget > 1.01 * max(tol, 1e-9):
+    if decay ** budget > 1.01 * max(tol, 1e-9):
         # hopeless: sum no node, and let the guard report the bound after the budget
         tail = x2 ** n * decay ** budget / (1 - decay)
         budget = 0
     for m in range(budget):
         envelope = weight * x2 ** n
         total += envelope * kernel_eval_x2(x2, q, trunc)
-        if not exact:
-            tail = envelope * decay / (1 - decay)
-            if m >= 2 and tail <= tol * abs(total):
-                return total, m + 1
+        tail = envelope * decay / (1 - decay)
+        if m >= 2 and tail <= tol * abs(total):
+            return total, m + 1
         weight *= qv
         x2 *= qv * qv
     if tail > 1e-9 * abs(total):
@@ -192,7 +212,8 @@ def c_of_q(q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY,
     by summing the double series in closed form per power); double_sum is the
     verification oracle that integrates the kernel node by node. Float mode of
     the interchanged route runs in adaptive precision because of cancellation
-    near q = 1; the double sum has positive terms and stays in float64.
+    near q = 1; the double sum has positive terms and stays in float64. Exact
+    mode sums both by kernel term, in nested form (see _interchanged_nested).
     """
     if method not in _METHODS:
         raise DomainError(f"method must be one of {_METHODS}, got {method!r}")
@@ -200,7 +221,7 @@ def c_of_q(q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY,
     if method == "double_sum":
         total, used = _node_sum(0, q, trunc)
     elif trunc.is_exact:
-        total, used = sum(islice(_interchanged_terms(qv), trunc.max_terms)), trunc.max_terms
+        total, used = _interchanged_nested(qv, 0, trunc.max_terms), trunc.max_terms
     else:
         value, used = _interchanged_c_mp(qv, trunc.max_terms)
         return NormalizationResult(None, float(value), method, used)

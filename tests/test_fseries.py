@@ -187,6 +187,15 @@ class TestEvaluatedProducts:
         assert fseries._ddf_at(n, qv) == q_double_factorial(n).eval(qv)
         assert fseries._qsq_factorial_at(n, qv) == q_squared_factorial(n).eval(qv)
 
+    def test_per_q_caches_are_bounded(self):
+        # 40 fresh q values need 1,000 _ddf_at entries at max_c = 24
+        for b in range(1009, 1049):
+            fj_coefficient(4, QParam(Fraction(b - 1000, b)), 24)
+        for cached in (fseries._ddf_at, fseries._qsq_factorial_at):
+            info = cached.cache_info()
+            assert info.maxsize == fseries.PER_Q_CACHE_SIZE
+            assert info.currsize <= info.maxsize
+
     def test_series_builds_no_polynomial(self, monkeypatch):
         q_factorial.cache_clear()
         q_double_factorial.cache_clear()

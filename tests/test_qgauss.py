@@ -1,7 +1,9 @@
 """Gaussian kernel, normalization constant, and moments of the q-measure."""
 
+import hashlib
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,26 @@ SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 q_params = st.fractions(min_value=Fraction(1, 8), max_value=Fraction(4, 5),
                         max_denominator=16).map(QParam)
+
+
+def node_by_node_exact(n: int, q: QParam, M: int) -> Fraction:
+    """The literal exact node sum: M nodes x_m^2 = q^(2m) nu^2, each weighted
+    q^m x_m^(2n) times an M-term exact kernel. Reference for _node_sum, which
+    sums the same rectangle by kernel term instead."""
+    trunc = TruncationPolicy.exact(M)
+    qv = q.value
+    total = Fraction(0)
+    weight = 1
+    x2 = 1 / (1 - qv)
+    for _ in range(M):
+        total += weight * x2 ** n * kernel_eval_x2(x2, q, trunc)
+        weight *= qv
+        x2 *= qv * qv
+    return total
+
+
+def hex_sha256(value: Fraction) -> str:
+    return hashlib.sha256(f"{value.numerator:x}/{value.denominator:x}".encode()).hexdigest()
 
 
 def test_nu_square_is_exact():
@@ -150,6 +172,55 @@ class TestNormalization:
         gap_99 = abs(c_of_q(QParam(Fraction(99, 100)), DEFAULT_POLICY).float_value
                      - SQRT_TWO_PI)
         assert gap_99 < gap_9
+
+
+class TestExactSums:
+    @pytest.mark.parametrize("qv", [Fraction(1, 2), Fraction(4, 5), Fraction(6, 7),
+                                    Fraction(137, 293)])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_node_sum_is_the_node_by_node_fraction(self, qv, n):
+        q = QParam(qv)
+        for M in (1, 2, 3, 8, 17, 32):
+            assert qgauss._node_sum(n, q, TruncationPolicy.exact(M)) == (
+                node_by_node_exact(n, q, M), M), M
+
+    @given(st.fractions(min_value=Fraction(1, 30), max_value=Fraction(29, 30),
+                        max_denominator=30),
+           st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=16))
+    @settings(max_examples=40, deadline=None)
+    def test_node_sum_equals_node_by_node_property(self, qv, n, M):
+        q = QParam(qv)
+        assert qgauss._node_sum(n, q, TruncationPolicy.exact(M))[0] == node_by_node_exact(n, q, M)
+
+    @pytest.mark.parametrize("qv, budgets", [
+        (Fraction(1, 2), (1, 2, 31, 128)),
+        (Fraction(6, 7), (1, 2, 31, 128)),
+        (Fraction(137, 293), (1, 2, 31, 64)),
+        (Fraction(999, 1000), (1, 2, 31, 64)),
+    ])
+    def test_nested_c_is_the_plain_partial_sum(self, qv, budgets):
+        for M in budgets:
+            got = c_of_q(QParam(qv), TruncationPolicy.exact(M)).surd_value.rational_part
+            assert got == 2 * sum(islice(qgauss._interchanged_terms(qv), M)), M
+
+    def test_exact_values_are_pinned(self):
+        # computed by the node-by-node loop and the plain partial sum
+        moment = moment_by_integration(4, Q_HALF, TruncationPolicy.exact(128))
+        assert hex_sha256(moment) == (
+            "50a87b02485b5088d317a1ad47aa77c80bef08e225e9da670bb941f13e69879e")
+        c = c_of_q(QParam(Fraction(6, 7)), TruncationPolicy.exact(128))
+        assert hex_sha256(c.surd_value.rational_part) == (
+            "eda45d514a712a493536b75468932a106d6b0f6d8d3001ff551f039635a9a2d4")
+
+    def test_exact_moment_evaluates_no_kernel(self, monkeypatch):
+        calls = []
+        original = qgauss.kernel_eval_x2
+        monkeypatch.setattr(qgauss, "kernel_eval_x2",
+                            lambda *args: calls.append(args) or original(*args))
+        moment_by_integration(4, Q_HALF, TruncationPolicy.exact(32))
+        assert calls == []
+        moment_by_integration(4, Q_HALF, DEFAULT_POLICY)
+        assert calls
 
 
 class TestMoments:
