@@ -18,10 +18,9 @@ from .qcalc import (DEFAULT_POLICY, E_q, QuadratureResult, TruncationPolicy,
                     XPoly, e_q, jackson_integral, jackson_integral_symmetric,
                     q_derivative)
 from .qcore import (QParam, QPolynomial, QScalar, binomial, q_bracket,
-                    q_bracket_real, q_double_factorial, q_factorial,
-                    q_squared_factorial)
-from .qgauss import (NormalizationResult, Nu, c_of_q, kernel_eval,
-                     moment_by_integration, moment_closed_form, nu)
+                    q_double_factorial, q_factorial, q_squared_factorial)
+from .qgauss import (NormalizationResult, c_of_q, kernel_eval,
+                     moment_by_integration, moment_closed_form)
 from .qgraphs import (GraphEncoding, a_q, enumerate_graphs, graph_block_value,
                       graph_sum_coefficient, omega_q)
 from .suites import SUITE_NAMES, CheckResult, run_suite
@@ -31,12 +30,12 @@ __version__ = "0.1.0"
 __all__ = [
     "QfjError", "DomainError", "ValidationError", "DivergenceError",
     "EvaluationError", "TruncationError", "ResourceLimitError",
-    "QParam", "QScalar", "QPolynomial", "q_bracket", "q_bracket_real",
+    "QParam", "QScalar", "QPolynomial", "q_bracket",
     "q_factorial", "q_double_factorial", "q_squared_factorial", "binomial",
     "TruncationPolicy", "DEFAULT_POLICY", "QuadratureResult", "XPoly",
     "q_derivative", "jackson_integral", "jackson_integral_symmetric",
     "e_q", "E_q",
-    "Nu", "nu", "kernel_eval", "NormalizationResult", "c_of_q",
+    "kernel_eval", "NormalizationResult", "c_of_q",
     "moment_closed_form", "moment_by_integration",
     "OrderedPairing", "iter_pairings", "enumerate_pairings", "weight",
     "weight_exponent_counts", "weighted_pairing_sum",

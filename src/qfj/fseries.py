@@ -9,7 +9,8 @@ formulas it is used to check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
@@ -20,7 +21,7 @@ from .errors import DomainError
 from .qcalc import (DEFAULT_POLICY, TruncationPolicy, E_q, _entire_sum,
                     jackson_integral_symmetric)
 from .qcore import QParam, QScalar, as_fraction, binomial
-from .qgauss import _interchanged_c_mp, c_of_q, nu
+from .qgauss import _interchanged_c_mp, c_of_q
 
 PER_Q_CACHE_SIZE = 256  # entries per (n, q) memo: a few q values' worth
 
@@ -40,21 +41,6 @@ class PowerSeries1:
         if 0 <= m <= self.truncation_order:
             return self.coefficients[m]
         return QScalar(Fraction(0))
-
-    def __add__(self, other: "PowerSeries1") -> "PowerSeries1":
-        order = min(self.truncation_order, other.truncation_order)
-        return PowerSeries1(tuple(self.coefficient(m) + other.coefficient(m)
-                                  for m in range(order + 1)), order)
-
-    def __mul__(self, other: "PowerSeries1") -> "PowerSeries1":
-        order = min(self.truncation_order, other.truncation_order)
-        out = []
-        for m in range(order + 1):
-            acc = QScalar(Fraction(0))
-            for i in range(m + 1):
-                acc = acc + self.coefficient(i) * other.coefficient(m - i)
-            out.append(acc)
-        return PowerSeries1(tuple(out), order)
 
     def eval(self, g):
         """Horner evaluation; exact for Fraction/int g, float for float g."""
@@ -89,12 +75,6 @@ class PowerSeries2:
 
     def coefficient(self, i: int, j: int) -> QScalar:
         return self.terms.get((i, j), QScalar(Fraction(0)))
-
-    def __add__(self, other: "PowerSeries2") -> "PowerSeries2":
-        bound = min(self.truncation, other.truncation)
-        keys = set(self.terms) | set(other.terms)
-        return PowerSeries2({k: self.coefficient(*k) + other.coefficient(*k) for k in keys},
-                            bound, self.variables)
 
     def __mul__(self, other: "PowerSeries2") -> "PowerSeries2":
         bound = min(self.truncation, other.truncation)
@@ -140,8 +120,9 @@ def _bracket_product(qv: Fraction, exponents) -> Fraction:
     return Fraction(numerator, denominator)
 
 
-def _low_brackets(qv: Fraction) -> tuple[Fraction, Fraction]:
-    """[2]_q = 1 + q and [3]_q! = (1 + q)(1 + q + q^2) at the rational q."""
+def _low_brackets(qv):
+    """[2]_q = 1 + q and [3]_q! = (1 + q)(1 + q + q^2), in the arithmetic of
+    qv (Fraction, float or mpf)."""
     bracket2 = 1 + qv
     return bracket2, bracket2 * (bracket2 + qv * qv)
 
@@ -152,6 +133,17 @@ def _qsq_factorial_at(m: int, qv: Fraction) -> Fraction:
     return _bracket_product(qv * qv, range(1, m + 1))
 
 
+def _lambda_sum(c: int, d: int, qv: Fraction) -> Fraction:
+    """lambda_{c,d} at qv: the alternating k-sum
+    sum_k (-1)^(c-k) C(d+k,k) q^((d+k)(d+k-1)) / ([d+k]_{q^2}! [c-k]_{q^2}!)."""
+    total = Fraction(0)
+    for k in range(c + 1):
+        total += (Fraction((-1) ** (c - k) * binomial(d + k, k))
+                  * qv ** ((d + k) * (d + k - 1))
+                  / (_qsq_factorial_at(d + k, qv) * _qsq_factorial_at(c - k, qv)))
+    return total
+
+
 def lambda_closed_form(c: int, d: int, q: QParam) -> QScalar:
     """Closed form for lambda_{c,d}: the alternating k-sum with sign (-1)^(c-k).
 
@@ -160,13 +152,7 @@ def lambda_closed_form(c: int, d: int, q: QParam) -> QScalar:
     """
     if c < 0 or d < 0:
         raise DomainError("lambda indices must be non-negative")
-    qv = q.value
-    total = Fraction(0)
-    for k in range(c + 1):
-        total += (Fraction((-1) ** (c - k) * binomial(d + k, k))
-                  * qv ** ((d + k) * (d + k - 1))
-                  / (_qsq_factorial_at(d + k, qv) * _qsq_factorial_at(c - k, qv)))
-    return QScalar(total, 0, qv)
+    return QScalar(_lambda_sum(c, d, q.value), 0, q.value)
 
 
 def _E_two_variable(total_degree: int, q: QParam) -> PowerSeries2:
@@ -305,13 +291,9 @@ def integrand_expansion(order_g: int, order_x: int, q: QParam) -> PowerSeries2:
 
 def _expansion_coefficient(c: int, d: int, qv: Fraction,
                            bracket2: Fraction, fact3: Fraction) -> Fraction:
-    """Coefficient of x^(2c+3d) g^d in integrand_expansion."""
-    acc = Fraction(0)
-    for k in range(c + 1):
-        acc += (Fraction((-1) ** (2 * c - k) * binomial(d + k, k))
-                * qv ** ((d + k) * (d + k - 1) + 2 * c)
-                / (_qsq_factorial_at(d + k, qv) * _qsq_factorial_at(c - k, qv)))
-    return acc / (bracket2 ** c * fact3 ** d)
+    """Coefficient of x^(2c+3d) g^d in integrand_expansion:
+    (-1)^c q^(2c) lambda_{c,d} / ([2]_q^c ([3]_q!)^d)."""
+    return (-1) ** c * qv ** (2 * c) * _lambda_sum(c, d, qv) / (bracket2 ** c * fact3 ** d)
 
 
 def fj_coefficient_via_moments(m: int, q: QParam, max_c: int = 12) -> QScalar:
@@ -346,8 +328,7 @@ def _fj_numeric_mp(g, q: QParam, trunc: TruncationPolicy, dps: int):
         qm = mp.mpf(qv.numerator) / qv.denominator
         q_sq = qm * qm
         nu_m = 1 / mp.sqrt(1 - qm)
-        bracket2 = 1 + qm
-        fact3 = (1 + qm) * (1 + qm + q_sq)
+        bracket2, fact3 = _low_brackets(qm)
         if isinstance(g, Fraction):
             gm = mp.mpf(g.numerator) / g.denominator
         else:
@@ -389,13 +370,12 @@ def fj_numeric(g, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY,
     qf = float(qv)
     gf = float(g)
     q_sq = QParam(qv * qv)
-    bracket2 = 1.0 + qf
-    fact3 = (1.0 + qf) * (1.0 + qf + qf * qf)
+    bracket2, fact3 = _low_brackets(qf)
 
     def integrand(x):
         u = -qf * qf * x * x / bracket2 + gf * x ** 3 / fact3
         return E_q(u, q_sq, trunc)
 
-    quad = jackson_integral_symmetric(integrand, nu(q).value, q, trunc)
+    quad = jackson_integral_symmetric(integrand, math.sqrt(float(1 / (1 - qv))), q, trunc)
     c_value = c_of_q(q, trunc, "interchanged_sum").float_value
     return quad.value / c_value

@@ -20,9 +20,9 @@ from typing import Iterator, Mapping
 from .errors import DomainError, ResourceLimitError, ValidationError
 from .qcore import QPolynomial
 
-# Largest n enumerated by default: (2*8-1)!! = 2,027,025 pairings. It bounds
-# iter_pairings/enumerate_pairings; the histogram of weight_exponent_counts
-# visits at most F(2n+1) = 1,597 masks at this n.
+# Largest n enumerated: (2*8-1)!! = 2,027,025 pairings. It bounds every
+# function here and the qgraphs blocks; the histogram of
+# weight_exponent_counts visits at most F(2n+1) = 1,597 masks at this n.
 DEFAULT_LIMIT = 8
 
 
@@ -60,23 +60,24 @@ class OrderedPairing:
         return "".join(f"({a},{b})" for a, b in self.pairs) or "()"
 
 
-def _check_n(n: int, limit: int) -> None:
+def _check_n(n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    if n > limit:
+    if n > DEFAULT_LIMIT:
         raise ResourceLimitError(
-            f"n={n} exceeds the enumeration limit {limit} "
-            f"({2 * limit} elements, {math.prod(range(1, 2 * limit, 2))} pairings)")
+            f"n={n} exceeds the enumeration limit {DEFAULT_LIMIT} "
+            f"({2 * DEFAULT_LIMIT} elements, "
+            f"{math.prod(range(1, 2 * DEFAULT_LIMIT, 2))} pairings)")
 
 
-def iter_pairings(n: int, limit: int = DEFAULT_LIMIT) -> Iterator[OrderedPairing]:
+def iter_pairings(n: int) -> Iterator[OrderedPairing]:
     """Lazily generate all ordered pairings of {1,...,2n}, lexicographically.
 
     Always pairing the smallest unpaired element first makes a_1 = 1 and the
     sorted-left-endpoint invariant hold by construction, and yields each
     pairing exactly once.
     """
-    _check_n(n, limit)
+    _check_n(n)
 
     def rec(available: tuple[int, ...], acc: tuple[tuple[int, int], ...]):
         if not available:
@@ -90,9 +91,9 @@ def iter_pairings(n: int, limit: int = DEFAULT_LIMIT) -> Iterator[OrderedPairing
     yield from rec(tuple(range(1, 2 * n + 1)), ())
 
 
-def enumerate_pairings(n: int, limit: int = DEFAULT_LIMIT) -> list[OrderedPairing]:
+def enumerate_pairings(n: int) -> list[OrderedPairing]:
     """All (2n-1)!! ordered pairings as a list, in lexicographic order."""
-    return list(iter_pairings(n, limit))
+    return list(iter_pairings(n))
 
 
 def weight(p: OrderedPairing) -> QPolynomial:
@@ -111,7 +112,7 @@ def weight(p: OrderedPairing) -> QPolynomial:
 
 
 @lru_cache(maxsize=None)
-def weight_exponent_counts(n: int, limit: int = DEFAULT_LIMIT) -> Mapping[int, int]:
+def weight_exponent_counts(n: int) -> Mapping[int, int]:
     """Histogram {W: number of pairings on [2n] with weight exponent W}.
 
     Walks the same smallest-first recursion as iter_pairings over bitmasks of
@@ -130,7 +131,7 @@ def weight_exponent_counts(n: int, limit: int = DEFAULT_LIMIT) -> Mapping[int, i
         raise DomainError(f"n must be a non-negative integer, got {n!r}")
     if n == 0:
         return MappingProxyType({0: 1})
-    _check_n(n, limit)
+    _check_n(n)
     size = 2 * n
     # between[a][b] = bitmask of elements strictly between a and b (1-based, bit i-1)
     between = [[0] * (size + 1) for _ in range(size + 1)]
@@ -167,14 +168,14 @@ def weight_exponent_counts(n: int, limit: int = DEFAULT_LIMIT) -> Mapping[int, i
                              if count})
 
 
-def weighted_pairing_sum(n: int, limit: int = DEFAULT_LIMIT) -> QPolynomial:
+def weighted_pairing_sum(n: int) -> QPolynomial:
     """Sum of q^W over all ordered pairings of {1,...,2n}, as an exact polynomial.
 
     n = 0 is the empty pairing with weight 1, matching weight_exponent_counts.
     """
     if n != 0:
-        _check_n(n, limit)
-    counts = weight_exponent_counts(n, limit)
+        _check_n(n)
+    counts = weight_exponent_counts(n)
     coeffs = [0] * (max(counts) + 1)
     for exponent, count in counts.items():
         coeffs[exponent] = count

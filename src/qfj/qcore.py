@@ -56,9 +56,10 @@ class QParam:
 class QScalar:
     """Exact rational value, optionally carrying one factor of sqrt(1-q).
 
-    surd_exponent is 0 or 1. A surd-carrying scalar must know its q so that
-    products of two surds can fold the (1-q) factor back into the rational
-    part. Scalars with differing surd exponents cannot be added.
+    surd_exponent is 0 or 1; a surd-carrying scalar records its q. Only the
+    normalization constant c(q) = r*sqrt(1-q) carries the surd, and it is
+    read and printed, never combined: + and * take rational operands only
+    and refuse a surd-carrying one.
     """
 
     rational_part: Fraction
@@ -77,80 +78,27 @@ class QScalar:
         if self.surd_exponent == 1 and self.q is None:
             raise DomainError("a surd-carrying scalar must record its q")
 
-    @property
-    def is_rational(self) -> bool:
-        return self.surd_exponent == 0
-
-    @staticmethod
-    def _coerce(other) -> "QScalar":
-        if isinstance(other, QScalar):
-            return other
-        return QScalar(as_fraction(other, "operand"))
-
-    def _merged_q(self, other: "QScalar") -> Fraction | None:
-        if self.q is None:
-            return other.q
-        if other.q is None or other.q == self.q:
-            return self.q
+    def _rational_operand(self, other) -> tuple[Fraction, Fraction | None]:
+        """other's rational part and the q the two operands share."""
+        if not isinstance(other, QScalar):
+            other = QScalar(as_fraction(other, "operand"))
+        if self.surd_exponent or other.surd_exponent:
+            raise DomainError("scalars carrying sqrt(1-q) cannot be added or multiplied")
+        if self.q is None or other.q is None or other.q == self.q:
+            return other.rational_part, self.q if self.q is not None else other.q
         raise DomainError(f"cannot combine scalars with different q ({self.q} vs {other.q})")
 
     def __add__(self, other):
-        other = self._coerce(other)
-        # exact zero is surd-agnostic
-        if self.rational_part == 0 and self.surd_exponent == 0:
-            return other
-        if other.rational_part == 0 and other.surd_exponent == 0:
-            return self
-        if self.surd_exponent != other.surd_exponent:
-            raise DomainError("scalars with different surd exponents cannot be added")
-        return QScalar(self.rational_part + other.rational_part, self.surd_exponent,
-                       self._merged_q(other))
+        rational, q = self._rational_operand(other)
+        return QScalar(self.rational_part + rational, 0, q)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return QScalar(-self.rational_part, self.surd_exponent, self.q)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other):
-        other = self._coerce(other)
-        q = self._merged_q(other)
-        exponent = self.surd_exponent + other.surd_exponent
-        rational = self.rational_part * other.rational_part
-        if exponent == 2:
-            # sqrt(1-q)^2 folds back into the rational part
-            rational *= 1 - q
-            exponent = 0
-        return QScalar(rational, exponent, q)
+        rational, q = self._rational_operand(other)
+        return QScalar(self.rational_part * rational, 0, q)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.rational_part == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        if other.surd_exponent == 0:
-            return QScalar(self.rational_part / other.rational_part, self.surd_exponent,
-                           self._merged_q(other))
-        # 1/(r*sqrt(1-q)) = (1/(r*(1-q))) * sqrt(1-q)
-        inverse = QScalar(1 / (other.rational_part * (1 - other.q)), 1, other.q)
-        return self * inverse
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise DomainError("QScalar powers must be non-negative integers")
-        out = QScalar(Fraction(1), 0, self.q)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -382,21 +330,6 @@ def q_bracket(n: int) -> QPolynomial:
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"q_bracket expects a non-negative integer, got {n!r}")
     return QPolynomial((Fraction(1),) * n)
-
-
-def q_bracket_real(t, q: QParam):
-    """[t]_q = (q^t - 1)/(q - 1) for real t.
-
-    Exact Fraction for integer t (agrees with q_bracket evaluated at q),
-    float otherwise.
-    """
-    qv = q.value
-    if isinstance(t, int) or (isinstance(t, Fraction) and t.denominator == 1):
-        t = int(t)
-        return (qv ** t - 1) / (qv - 1)
-    tf = float(t)
-    qf = float(qv)
-    return (qf ** tf - 1.0) / (qf - 1.0)
 
 
 @lru_cache(maxsize=None)

@@ -23,28 +23,6 @@ from .qcalc import DEFAULT_POLICY, E_q, TruncationPolicy, _magnitude_scan, _need
 from .qcore import QParam, QScalar, as_fraction, q_double_factorial, QPolynomial
 
 
-@dataclass(frozen=True)
-class Nu:
-    """Integration bound nu = 1/sqrt(1-q), exposed through its exact square."""
-
-    q: QParam
-
-    @property
-    def squared(self) -> Fraction:
-        return 1 / (1 - self.q.value)
-
-    @property
-    def value(self) -> float:
-        return math.sqrt(float(self.squared))
-
-    def __float__(self):
-        return self.value
-
-
-def nu(q: QParam) -> Nu:
-    return Nu(q)
-
-
 def kernel_eval_x2(x_squared, q: QParam,
                    trunc: TruncationPolicy = DEFAULT_POLICY):
     """Gaussian kernel as a function of x^2.

@@ -57,7 +57,7 @@ class GraphEncoding:
         return 2 * self.c + 3 * self.dprime
 
 
-def _block_flags(c: int, dprime: int, k: int, limit: int) -> int:
+def _block_flags(c: int, dprime: int, k: int) -> int:
     """Flag count 2c+3*dprime of the (c, dprime, k) block, once its indices
     are checked and its pairings fit the enumeration limit."""
     if c < 0 or dprime < 0 or not (0 <= k <= c):
@@ -66,27 +66,26 @@ def _block_flags(c: int, dprime: int, k: int, limit: int) -> int:
     if dprime % 2 != 0:
         raise DomainError(f"dprime must be even, got {dprime}")
     flags = 2 * c + 3 * dprime
-    if flags // 2 > limit:
+    if flags // 2 > DEFAULT_LIMIT:
         raise ResourceLimitError(
             f"block (c={c}, dprime={dprime}) has {flags} flags, beyond the "
-            f"pairing limit of {2 * limit} elements")
+            f"pairing limit of {2 * DEFAULT_LIMIT} elements")
     return flags
 
 
-def enumerate_graphs(c: int, dprime: int, k: int,
-                     limit: int = DEFAULT_LIMIT) -> list[GraphEncoding]:
+def enumerate_graphs(c: int, dprime: int, k: int) -> list[GraphEncoding]:
     """All C(dprime+k, k) * (2c+3*dprime-1)!! graphs in the (c, dprime, k) block.
 
     Materializes every encoding, so this is only for small blocks; the block
     aggregate graph_block_value walks the same pairing set without building
     the objects.
     """
-    flags = _block_flags(c, dprime, k, limit)
+    flags = _block_flags(c, dprime, k)
     sigmas = list(itertools.combinations(range(1, dprime + k + 1), k))
     if flags == 0:
         pairing_list = [OrderedPairing(())]
     else:
-        pairing_list = list(iter_pairings(flags // 2, limit))
+        pairing_list = list(iter_pairings(flags // 2))
     return [GraphEncoding(c, dprime, k, sigma, pairing)
             for sigma in sigmas for pairing in pairing_list]
 
@@ -107,17 +106,16 @@ def a_q(graph: GraphEncoding) -> QPolynomial:
             * q_squared_factorial(graph.c - graph.k))
 
 
-def graph_block_value(c: int, dprime: int, k: int, q: QParam,
-                      limit: int = DEFAULT_LIMIT) -> QScalar:
+def graph_block_value(c: int, dprime: int, k: int, q: QParam) -> QScalar:
     """Sum of omega_q/a_q over the whole (c, dprime, k) block, exactly.
 
     The pairing sum enters through the enumerated weight-exponent histogram,
     not the double-factorial identity, so agreement with the closed-form
     series term is an actual check of that identity inside the series.
     """
-    flags = _block_flags(c, dprime, k, limit)
+    flags = _block_flags(c, dprime, k)
     qv = q.value
-    counts = weight_exponent_counts(flags // 2, limit)
+    counts = weight_exponent_counts(flags // 2)
     pairing_sum = sum((count * qv ** exponent for exponent, count in counts.items()),
                       Fraction(0))
     shift = 2 * c + (dprime + k) * (dprime + k - 1)
@@ -131,8 +129,7 @@ def graph_block_value(c: int, dprime: int, k: int, q: QParam,
     return QScalar(numerator / denominator, 0, qv)
 
 
-def graph_sum_coefficient(m: int, q: QParam, max_c: int = 4,
-                          limit: int = DEFAULT_LIMIT) -> QScalar:
+def graph_sum_coefficient(m: int, q: QParam, max_c: int = 4) -> QScalar:
     """Coefficient of g^m assembled purely from graph blocks.
 
     Matches fj_coefficient(m, q, max_c) exactly term by term when both use
@@ -148,5 +145,5 @@ def graph_sum_coefficient(m: int, q: QParam, max_c: int = 4,
     total = QScalar(Fraction(0), 0, q.value)
     for c in range(max_c + 1):
         for k in range(c + 1):
-            total = total + graph_block_value(c, m, k, q, limit)
+            total = total + graph_block_value(c, m, k, q)
     return total

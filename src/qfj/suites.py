@@ -30,6 +30,9 @@ from .qgraphs import graph_block_value, graph_sum_coefficient
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 MOMENT_TOLERANCE = 1e-8  # quadrature moments and their ratios vs closed forms
 CLASSICAL_PROBES = (Fraction(9, 10), Fraction(99, 100))  # q -> 1 trend points
+# _series_max_c grows without bound as q -> 1 (828 at q = 99/100 for base 12),
+# and a series coefficient's cost grows faster than linearly in max_c
+MAX_C_CAP = 60
 
 SUITE_NAMES = ("qcalc", "gauss", "pairings", "lambda", "series", "graphs", "all")
 
@@ -46,6 +49,19 @@ def _shrinking(name: str, label: str, qs, errs: list, bound: float) -> CheckResu
     ok = all(a > b for a, b in zip(errs, errs[1:])) and errs[-1] < bound
     along = ", ".join(f"{err:.3e} at q={float(p)}" for p, err in zip(qs, errs))
     return CheckResult(name, ok, f"{label}: {along}")
+
+
+def _series_max_c(q: QParam, base: int) -> int:
+    """Smallest max_c >= base with q^(2 max_c) <= 4^(-base), at most MAX_C_CAP.
+
+    The c-blocks of the series shrink like q^(2c), so this carries to any q
+    the truncation that max_c = base gives at q = 1/2, where it returns base.
+    """
+    q_sq, bound = q.value ** 2, Fraction(1, 4 ** base)
+    max_c = base
+    while q_sq ** max_c > bound and max_c < MAX_C_CAP:
+        max_c += 1
+    return max_c
 
 
 def g2_by_finite_difference(q: QParam, trunc: TruncationPolicy, h: float) -> float:
@@ -238,7 +254,7 @@ def classical_limit_trend(q: QParam, trunc: TruncationPolicy,
 
 
 def numeric_matches_series(q: QParam, trunc: TruncationPolicy) -> CheckResult:
-    gap = abs(fj_numeric(0.05, q, trunc) - fj_series(4, q).eval(0.05))
+    gap = abs(fj_numeric(0.05, q, trunc) - fj_series(4, q, _series_max_c(q, 12)).eval(0.05))
     return CheckResult("numeric-matches-series", gap < 1e-10,
                        f"float quadrature vs order-4 series at g=0.05: gap {gap:.3e}")
 
@@ -247,11 +263,12 @@ def g6_scaling(q: QParam, trunc: TruncationPolicy) -> CheckResult:
     """Residual against the order-4 series must scale like g^6.
 
     Needs the high-precision quadrature: at g = 0.025 the residual is below
-    1e-19, far under float64 resolution on values near 1. max_c = 36 keeps the
-    series truncation error orders below the residual being measured.
+    1e-19, far under float64 resolution on values near 1. max_c = 36 at
+    q = 1/2, carried to q by _series_max_c, keeps the series truncation error
+    orders below the residual being measured.
     """
     dps = 60
-    series = fj_series(4, q, max_c=36)
+    series = fj_series(4, q, max_c=_series_max_c(q, 36))
     errs = []
     with mp.workdps(dps):
         for g in (Fraction(1, 10), Fraction(1, 20), Fraction(1, 40)):

@@ -191,6 +191,14 @@ class TestVerifyCommand:
         assert hashlib.sha256(stdout.encode()).hexdigest() == (
             "75ff5274807335e00d8ee813a70d1c588cb2a059a096a68f8069cff7bc885929")
 
+    def test_all_suites_pass_away_from_the_default_q(self):
+        # the series checks size their max_c from q; at 3/4 a fixed 12 and 36
+        # truncate the c-sum too early
+        records = json_records(run_cli("verify", "--q", "3/4", "--suite", "all",
+                                       "--reproducible").stdout)
+        assert len(records) == 30
+        assert all(r["suite_pass"] is True for r in records)
+
     def test_max_terms_reaches_the_checks(self):
         # at q = 0.99 the moment node sums need more than the default 512 nodes
         proc = run_cli("verify", "--q", "99/100", "--suite", "gauss", expect=2)

@@ -95,9 +95,9 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError):
             list(iter_pairings(9))
 
-    def test_explicit_limit_honored(self):
+    def test_list_refuses_beyond_the_limit_constant(self):
         with pytest.raises(ResourceLimitError):
-            enumerate_pairings(3, limit=2)
+            enumerate_pairings(pairings.DEFAULT_LIMIT + 1)
 
     @given(st.integers(min_value=1, max_value=5))
     @settings(max_examples=10, deadline=None)

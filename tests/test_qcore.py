@@ -1,5 +1,6 @@
 """Exact scalar and polynomial arithmetic in the deformation parameter."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from qfj.qcore import (
     as_fraction,
     binomial,
     q_bracket,
-    q_bracket_real,
     q_double_factorial,
     q_factorial,
     q_squared_factorial,
@@ -51,10 +51,10 @@ def test_qparam_float_view():
 
 class TestQScalar:
     def test_addition_same_surd(self):
+        # c(q) = r sqrt(1-q) is read and printed, never combined
         a = QScalar(Fraction(3, 4), 1, HALF)
-        b = QScalar(Fraction(1, 4), 1, HALF)
-        assert (a + b).rational_part == 1
-        assert (a + b).surd_exponent == 1
+        with pytest.raises(DomainError):
+            a + QScalar(Fraction(1, 4), 1, HALF)
 
     def test_addition_mixed_surds_rejected(self):
         a = QScalar(Fraction(1), 0)
@@ -62,19 +62,16 @@ class TestQScalar:
         with pytest.raises(DomainError):
             a + b
 
-    def test_adding_exact_zero_ignores_surd_tag(self):
-        zero = QScalar(Fraction(0), 0)
-        b = QScalar(Fraction(2, 3), 1, HALF)
-        assert (zero + b) == b
-        assert (b + zero) == b
-
-    def test_multiplication_folds_surd_square(self):
-        # sqrt(1-q)^2 = 1-q, so the product is plain rational
-        a = QScalar(Fraction(3, 4), 1, HALF)
-        b = QScalar(Fraction(1, 4), 1, HALF)
-        prod = a * b
-        assert prod.surd_exponent == 0
-        assert prod.rational_part == Fraction(3, 32)
+    def test_surd_operands_are_refused(self):
+        surd = QScalar(Fraction(3, 4), 1, HALF)
+        with pytest.raises(DomainError):
+            surd * surd
+        for other in (QScalar(Fraction(0), 0), Fraction(0), 1):
+            for combine in (operator.add, operator.mul):
+                with pytest.raises(DomainError):
+                    combine(surd, other)
+                with pytest.raises(DomainError):
+                    combine(other, surd)
 
     def test_float_and_str(self):
         a = QScalar(Fraction(3, 4), 1, HALF)
@@ -134,13 +131,6 @@ def test_q_bracket_small_cases(n, coeffs):
         assert got.is_zero
     else:
         assert got.coefficients == coeffs
-
-
-def test_q_bracket_real_matches_polynomial_at_integer_order():
-    q = QParam(HALF)
-    assert q_bracket_real(2, q) == pytest.approx(float(q_bracket(2).eval(q)))
-    # fractional order: (q^t - 1)/(q - 1) directly
-    assert q_bracket_real(0.5, QParam(Fraction(1, 4))) == pytest.approx(2 / 3)
 
 
 def test_q_factorial_three():

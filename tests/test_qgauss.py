@@ -19,7 +19,6 @@ from qfj.qgauss import (
     kernel_eval_x2,
     moment_by_integration,
     moment_closed_form,
-    nu,
 )
 
 Q_HALF = QParam(Fraction(1, 2))
@@ -47,12 +46,6 @@ def node_by_node_exact(n: int, q: QParam, M: int) -> Fraction:
 
 def hex_sha256(value: Fraction) -> str:
     return hashlib.sha256(f"{value.numerator:x}/{value.denominator:x}".encode()).hexdigest()
-
-
-def test_nu_square_is_exact():
-    assert nu(Q_HALF).squared == 2
-    assert nu(QParam(Fraction(3, 4))).squared == 4
-    assert float(nu(Q_HALF)) == pytest.approx(math.sqrt(2))
 
 
 class TestKernel:

@@ -61,7 +61,7 @@ class TestEnumeration:
 
     def test_enumeration_limit(self):
         with pytest.raises(ResourceLimitError):
-            enumerate_graphs(7, 0, 0, limit=6)
+            enumerate_graphs(9, 0, 0)
 
 
 class TestGraphWeights:
