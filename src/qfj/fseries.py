@@ -366,10 +366,7 @@ def fj_numeric(g, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY,
     """
     if dps is not None:
         return _fj_numeric_mp(g, q, trunc, dps)
-    qv = q.value
-    qf = float(qv)
-    gf = float(g)
-    q_sq = QParam(qv * qv)
+    qv, qf, gf, q_sq = q.value, q.as_float, float(g), q.squared
     bracket2, fact3 = _low_brackets(qf)
 
     def integrand(x):

@@ -219,7 +219,7 @@ def _entire_sum(x, p, growth, max_terms: int, tol, floor):
     term = power = g_power = total + 1      # g_power is growth^n
     for n in range(max_terms):
         total += term
-        if tol and n >= 1 and abs(term) <= tol * max(abs(total), floor):
+        if tol and n >= 1 and abs(term) <= tol * (floor if floor > (size := abs(total)) else size):
             break
         bracket += power          # [n+1]_p
         power *= p
@@ -301,9 +301,7 @@ def E_q(x: Real, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY) -> Real:
     """
     if trunc.is_exact and not isinstance(x, float):
         return _entire_sum(as_fraction(x, "argument"), q.value, q.value, trunc.max_terms, 0, 0)
-    xf = float(x)
-    qf = q.as_float
-    tol = trunc.relative_tail_tolerance
+    xf, qf, tol = float(x), q.as_float, trunc.relative_tail_tolerance
     s = -xf * (1.0 - qf)      # |x| over the e_q radius
     if 0.0 < s < 1.0:
         # The reciprocal series grows for ~log(1-s)/log q terms before

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Union
 
 from .errors import DomainError, ValidationError
@@ -44,9 +44,13 @@ class QParam:
         if not (0 < self.value < 1):
             raise DomainError(f"q must satisfy 0 < q < 1, got {self.value}")
 
-    @property
+    @cached_property
     def as_float(self) -> float:
         return float(self.value)
+
+    @cached_property
+    def squared(self) -> "QParam":
+        return QParam(self.value * self.value)
 
     def __str__(self) -> str:
         return str(self.value)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count
 
 import mpmath as mp
 
@@ -35,13 +35,11 @@ def kernel_eval_x2(x_squared, q: QParam,
     node of the [-nu, nu] grid lies inside the e_{q^2} radius), and a
     high-precision alternating sum elsewhere.
     """
-    qv = q.value
     if trunc.is_exact and not isinstance(x_squared, float):
-        u = qv * qv * as_fraction(x_squared, "x^2") / (1 + qv)
+        qv, x_squared = q.value, as_fraction(x_squared, "x^2")
     else:
-        qf = q.as_float
-        u = qf * qf * float(x_squared) / (1 + qf)
-    return E_q(-u, QParam(qv * qv), trunc)
+        qv, x_squared = q.as_float, float(x_squared)
+    return E_q(-(qv * qv * x_squared / (1 + qv)), q.squared, trunc)
 
 
 def kernel_eval(x, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY):
@@ -66,25 +64,8 @@ class NormalizationResult:
 _METHODS = ("double_sum", "interchanged_sum")
 
 
-def _interchanged_terms(qv):
-    """Summands of the single-index normalization series (without the leading
-    2), (-1)^m q^(m(m+1)) / ((1-q^(2m+1)) prod_{j<=m} (1-q^(2j))), in the
-    arithmetic of qv (Fraction or mpf)."""
-    q_sq = qv * qv
-    pochhammer = q_sq_pow = q_num = 1   # prod_{j<=m} (1-q^(2j)), q^(2m), q^(m(m+1))
-    q_odd = qv                          # q^(2m+1)
-    sign = 1
-    while True:
-        yield sign * q_num / ((1 - q_odd) * pochhammer)
-        sign = -sign
-        q_sq_pow *= q_sq
-        pochhammer *= 1 - q_sq_pow
-        q_num *= q_sq_pow       # exponent grows by 2(m+1)
-        q_odd *= q_sq
-
-
 def _interchanged_log_terms(qf: float):
-    """log10 magnitudes of the _interchanged_terms, from the float q."""
+    """log10 magnitudes of the terms of _interchanged_c_mp, from the float q."""
     log_q = math.log10(qf)
     log_poch = 0.0
     for m in count():
@@ -101,6 +82,16 @@ def _interchanged_c_mp(qv: Fraction, max_terms: int, extra_dps: int = 0) -> tupl
     TruncationError when the terms have not decayed to negligible absolute
     size within max_terms: an alternating partial sum cut mid-hump is pure
     cancellation noise, not an approximation.
+
+    The N terms T_j are summed backward as t_j = 1/(1-q^(2j+1)) + r_j t_(j+1),
+    U_j = T_j (1-q^(2j+1)), r_j = U_(j+1)/U_j = -q^(2j+2)/(1-q^(2j+2)); t_0 is
+    the sum. With q = a/b, t_j is a pair of ints num/den in fixed point at
+    `bits` bits, both shifted after each step (only the ratio counts) and
+    divided once at the end; the powers step down from q^(2N-1) by b/a, with
+    guard bits for that descent. A step's rounding, a few units of
+    2^-bits (1 + |t_j|), reaches the sum times U_j, so at the scale of the
+    term T_j and the tail U_j t_j from j, at most about 10^peak: the peak + 60
+    digits keep 60 past the peak, as they do for a forward sum.
     """
     peak, _, _, needed = _magnitude_scan(_interchanged_log_terms(float(qv)), max_terms)
     if needed is None or needed > max_terms:
@@ -108,17 +99,28 @@ def _interchanged_c_mp(qv: Fraction, max_terms: int, extra_dps: int = 0) -> tupl
             f"normalization series at q={qv} needs {_needs(needed)} terms to converge, "
             f"budget is {max_terms}; raise max_terms")
     dps = max(30, int(peak) + 60) + extra_dps
+    a, b = qv.numerator, qv.denominator
+    a_top, b_top = a ** (2 * needed - 1), b ** (2 * needed - 1)
     with mp.workdps(dps):
-        qm = mp.mpf(qv.numerator) / qv.denominator
-        total = sum(islice(_interchanged_terms(qm), needed))
-        c_value = 2 * mp.sqrt(1 - qm) * total
-        return +c_value, needed
+        bits = mp.mp.prec + b_top.bit_length() - a_top.bit_length() + needed.bit_length() + 32
+        one = 1 << bits
+        power = (a_top << bits) // b_top        # q^(2j+1) at j = N - 1
+        num, den = one, one - power
+        for _ in range(needed - 1):
+            even = power * b // a               # q^(2j+2), one j lower
+            power = even * b // a               # q^(2j+1)
+            odd = one - power
+            scaled = (one - even) * den >> bits
+            num, den = (scaled << bits) - odd * (even * num >> bits), odd * scaled
+            shift = den.bit_length() - bits
+            num, den = num >> shift, den >> shift
+        return 2 * mp.sqrt(1 - mp.mpf(a) / b) * mp.fdiv(num, den), needed
 
 
 def _interchanged_nested(qv: Fraction, n: int, terms: int, damping=1) -> Fraction:
     """sum_{j<terms} damping^j T_j(n), T_j(n) = (-1)^j q^(j(j+1)) /
-    ((1-q^(2n+2j+1)) prod_{i<=j} (1-q^(2i))), exactly (T_j(0) are the
-    _interchanged_terms). Summed in the nested form T_0 (1 + r_0 (1 + r_1 (...))),
+    ((1-q^(2n+2j+1)) prod_{i<=j} (1-q^(2i))), exactly (T_j(0) are the c(q)
+    series terms). Summed in the nested form T_0 (1 + r_0 (1 + r_1 (...))),
     r_j = damping T_(j+1)/T_j: each step adds 1 instead of two large Fractions."""
     nested = Fraction(1)
     for j in reversed(range(terms - 1)):

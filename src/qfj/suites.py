@@ -263,22 +263,30 @@ def g6_scaling(q: QParam, trunc: TruncationPolicy) -> CheckResult:
     """Residual against the order-4 series must scale like g^6.
 
     Needs the high-precision quadrature: at g = 0.025 the residual is below
-    1e-19, far under float64 resolution on values near 1. max_c = 36 at
-    q = 1/2, carried to q by _series_max_c, keeps the series truncation error
-    orders below the residual being measured.
+    1e-19, far under float64 resolution on values near 1. The series sums
+    c-blocks up to max_c = 36 at q = 1/2, carried to q by _series_max_c. They
+    shrink like q^(2c), so |last block| q^2/(1-q^2) times g^m, over m = 0, 2, 4,
+    bounds the series truncation at g; it must stay under a tenth of the residual.
     """
     dps = 60
-    series = fj_series(4, q, max_c=_series_max_c(q, 36))
-    errs = []
+    q_sq = q.value ** 2
+    rows = {m: fj_blocks(m, q, _series_max_c(q, 36)) for m in (0, 2, 4)}
+    gs, errs, bounds = (Fraction(1, 10), Fraction(1, 20), Fraction(1, 40)), [], []
     with mp.workdps(dps):
-        for g in (Fraction(1, 10), Fraction(1, 20), Fraction(1, 40)):
-            exact = series.eval(g).rational_part
+        for g in gs:
+            exact = sum(sum(b.rational_part for b in row) * g ** m for m, row in rows.items())
             target = mp.mpf(exact.numerator) / exact.denominator
             errs.append(abs(fj_numeric(g, q, trunc, dps=dps) - target))
+            bounds.append(float(sum(abs(row[-1].rational_part) * g ** m
+                                    for m, row in rows.items()) * q_sq / (1 - q_sq)))
         ratios = [errs[0] / errs[1], errs[1] / errs[2]]
         detail = (f"residual ratios under g -> g/2: "
                   f"{float(ratios[0]):.1f}, {float(ratios[1]):.1f} (want ~64)")
-    return CheckResult("g6-scaling", all(32 <= r <= 128 for r in ratios), detail)
+    over = [(b, float(e), g) for g, b, e in zip(gs, bounds, errs) if 10 * b > e]
+    if over:
+        detail += ("; series truncation bound {:.1e} is above a tenth of the residual "
+                   "{:.1e} at g={}").format(*over[-1])
+    return CheckResult("g6-scaling", not over and all(32 <= r <= 128 for r in ratios), detail)
 
 
 def g0_block_cancellation(q: QParam, trunc: TruncationPolicy) -> CheckResult:

@@ -49,6 +49,15 @@ def test_qparam_float_view():
     assert str(q) == "1/2"
 
 
+def test_qparam_cached_values_leave_identity_alone():
+    q = QParam(HALF)
+    assert (q.as_float, q.squared, q.squared.as_float) == (0.5, QParam("1/4"), 0.25)
+    assert q.squared is q.squared
+    fresh = QParam("1/2")
+    assert q == fresh and hash(q) == hash(fresh)
+    assert repr(q) == repr(fresh) == "QParam(value=Fraction(1, 2))"
+
+
 class TestQScalar:
     def test_addition_same_surd(self):
         # c(q) = r sqrt(1-q) is read and printed, never combined

@@ -5,12 +5,13 @@ import math
 from fractions import Fraction
 from itertools import islice
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from qfj.errors import DomainError, TruncationError
-from qfj.qcalc import DEFAULT_POLICY, TruncationPolicy
+from qfj.qcalc import DEFAULT_POLICY, TruncationPolicy, _magnitude_scan
 from qfj import qgauss
 from qfj.qcore import QParam, QScalar, q_bracket, q_double_factorial, q_squared_factorial
 from qfj.qgauss import (
@@ -42,6 +43,33 @@ def node_by_node_exact(n: int, q: QParam, M: int) -> Fraction:
         weight *= qv
         x2 *= qv * qv
     return total
+
+
+def interchanged_terms(qv):
+    """Summands of the single-index normalization series (without the leading
+    2), (-1)^m q^(m(m+1)) / ((1-q^(2m+1)) prod_{j<=m} (1-q^(2j))), in the
+    arithmetic of qv (Fraction or mpf), forward, each term built in full.
+    Reference for the nested exact sum and the backward integer mp sum."""
+    q_sq = qv * qv
+    pochhammer = q_sq_pow = q_num = 1   # prod_{j<=m} (1-q^(2j)), q^(2m), q^(m(m+1))
+    q_odd = qv                          # q^(2m+1)
+    sign = 1
+    while True:
+        yield sign * q_num / ((1 - q_odd) * pochhammer)
+        sign = -sign
+        q_sq_pow *= q_sq
+        pochhammer *= 1 - q_sq_pow
+        q_num *= q_sq_pow       # exponent grows by 2(m+1)
+        q_odd *= q_sq
+
+
+def forward_c_mp(qv: Fraction, max_terms: int, extra_dps: int):
+    """c(q) as the plain forward mpf sum of interchanged_terms, with the term
+    count and working precision _interchanged_c_mp takes from its scan."""
+    peak, _, _, needed = _magnitude_scan(qgauss._interchanged_log_terms(float(qv)), max_terms)
+    with mp.workdps(max(30, int(peak) + 60) + extra_dps):
+        qm = mp.mpf(qv.numerator) / qv.denominator
+        return 2 * mp.sqrt(1 - qm) * sum(islice(interchanged_terms(qm), needed)), needed
 
 
 def hex_sha256(value: Fraction) -> str:
@@ -167,6 +195,52 @@ class TestNormalization:
         assert gap_99 < gap_9
 
 
+class TestMpNormalization:
+    @pytest.mark.parametrize("qv", [Fraction(1, 1000), Fraction(1, 3), Fraction(1, 2),
+                                    Fraction(5, 6), Fraction(16, 17), Fraction(48, 49),
+                                    Fraction(137, 293), Fraction(140, 141),
+                                    Fraction(409, 410), Fraction(1188, 1189)])
+    def test_backward_sum_is_the_forward_sum(self, qv):
+        value, used = qgauss._interchanged_c_mp(qv, 4096)
+        want, needed = forward_c_mp(qv, 4096, 0)
+        assert (float(value), used) == (float(want), needed)
+        value, used = qgauss._interchanged_c_mp(qv, 4096, extra_dps=60)
+        want, needed = forward_c_mp(qv, 4096, 60)
+        assert (mp.nstr(value, 50), used) == (mp.nstr(want, 50), needed)
+
+    @pytest.mark.parametrize("qv, budget, used, pinned", [
+        (Fraction(3447, 3448), 4000, 3006, "0x1.40d637a4c005dp+1"),
+        (Fraction(9999, 10000), 10000, 8593, "0x1.40d82b26c58e0p+1"),
+    ])
+    def test_float_values_near_one_are_pinned(self, qv, budget, used, pinned):
+        # the forward mpf sum's values; it takes seconds at these q
+        result = c_of_q(QParam(qv), TruncationPolicy.floating(budget))
+        assert (result.float_value.hex(), result.terms_used) == (pinned, used)
+
+
+class TestFloatNodeSum:
+    def test_double_sum_value_is_pinned(self):
+        result = c_of_q(QParam(Fraction(409, 410)), TruncationPolicy.floating(13120),
+                        "double_sum")
+        assert (result.float_value.hex(), result.terms_used) == ("0x1.40c0230cd1da7p+1", 13120)
+
+    def test_moment_values_are_pinned(self):
+        q, trunc = QParam(Fraction(140, 141)), TruncationPolicy.floating(4512)
+        got = [moment_by_integration(k, q, trunc).hex() for k in range(0, 11, 2)]
+        assert got == ["0x1.ffffffffffbf8p-1", "0x1.fffffffffffe0p-1", "0x1.7d4874eb6f9e0p+1",
+                       "0x1.d5e427b650930p+3", "0x1.92827047b0849p+6", "0x1.b830004d23435p+9"]
+
+    @pytest.mark.parametrize("qv, n", [(Fraction(1, 2), 0), (Fraction(5, 6), 2),
+                                       (Fraction(140, 141), 5)])
+    def test_kernel_is_evaluated_at_every_node(self, monkeypatch, qv, n):
+        calls = []
+        original = qgauss.kernel_eval_x2
+        monkeypatch.setattr(qgauss, "kernel_eval_x2",
+                            lambda *args: calls.append(args) or original(*args))
+        _, used = qgauss._node_sum(n, QParam(qv), TruncationPolicy.floating(4096))
+        assert len(calls) == used > 2
+
+
 class TestExactSums:
     @pytest.mark.parametrize("qv", [Fraction(1, 2), Fraction(4, 5), Fraction(6, 7),
                                     Fraction(137, 293)])
@@ -194,7 +268,7 @@ class TestExactSums:
     def test_nested_c_is_the_plain_partial_sum(self, qv, budgets):
         for M in budgets:
             got = c_of_q(QParam(qv), TruncationPolicy.exact(M)).surd_value.rational_part
-            assert got == 2 * sum(islice(qgauss._interchanged_terms(qv), M)), M
+            assert got == 2 * sum(islice(interchanged_terms(qv), M)), M
 
     def test_exact_values_are_pinned(self):
         # computed by the node-by-node loop and the plain partial sum

@@ -1,0 +1,26 @@
+"""The verify checks' own guards, beyond their pass/fail at q = 1/2."""
+
+from fractions import Fraction
+
+import pytest
+
+from qfj import suites
+from qfj.qcalc import DEFAULT_POLICY
+from qfj.qcore import QParam
+
+
+@pytest.mark.parametrize("qv", [Fraction(1, 2), Fraction(3, 4)])
+def test_g6_scaling_passes_on_an_untruncated_series(qv):
+    result = suites.g6_scaling(QParam(qv), DEFAULT_POLICY)
+    assert result.passed
+    assert result.detail == "residual ratios under g -> g/2: 64.0, 64.0 (want ~64)"
+
+
+def test_g6_scaling_refuses_a_residual_the_truncation_contaminates():
+    # at 9/10 the max_c cap of 60 leaves a series error of about 7e-11 in the
+    # g = 1/40 residual of 1.6e-10, whose ratios 61.3 and 38.2 would pass
+    result = suites.g6_scaling(QParam(Fraction(9, 10)), DEFAULT_POLICY)
+    assert not result.passed
+    assert result.detail == (
+        "residual ratios under g -> g/2: 61.3, 38.2 (want ~64); series truncation "
+        "bound 7.0e-11 is above a tenth of the residual 1.6e-10 at g=1/40")
