@@ -17,11 +17,10 @@ from typing import Mapping
 
 import mpmath as mp
 
-from .errors import DomainError
-from .qcalc import (DEFAULT_POLICY, TruncationPolicy, E_q, _entire_sum,
-                    jackson_integral_symmetric)
+from .errors import DomainError, EvaluationError
+from .qcalc import DEFAULT_POLICY, TruncationPolicy, E_q, _entire_sum
 from .qcore import QParam, QScalar, as_fraction, binomial
-from .qgauss import _interchanged_c_mp, c_of_q
+from .qgauss import _bounded_node_sum, _interchanged_c_mp, c_of_q
 
 PER_Q_CACHE_SIZE = 256  # entries per (n, q) memo: a few q values' worth
 
@@ -319,9 +318,54 @@ def fj_coefficient_via_moments(m: int, q: QParam, max_c: int = 12) -> QScalar:
     return QScalar(total, 0, qv)
 
 
+def _fj_quadrature(integrand, g, q: QParam, qn, nu, budget: int, tol):
+    """Jackson quadrature over [-nu, nu] of integrand(x) = E_{q^2}(u(x)),
+    u(x) = -q^2 x^2/[2]_q + g x^3/[3]_q!, in the arithmetic of qn = q and nu
+    (float or mpf): (1-q) nu times the halves sum_m q^m integrand(+-q^m nu),
+    each summed on its own, in node order, by _bounded_node_sum.
+
+    Tail bound. Let a = q^2/[2]_q and b = |g|/[3]_q!. Then
+    U(x) = a x^2 + b x^3 >= |u(+-x)|, and U increases in x. E_p has positive
+    coefficients, so |E_p(u)| <= E_p(|u|), and E_p(y) <= e^y for y >= 0
+    because [k]_p >= k p^(k-1). So after node m a half's tail is at most
+    q^(m+1) e^(U(x_(m+1)))/(1-q). Only q^(m+1) is kept in the route's
+    arithmetic; the rest is a float (inf past float range), as a bound needs.
+
+    Refusal. If b nu <= a, every u(+-x) is <= 0 and |u| <= U(nu) <= 2/(1-q^2).
+    Then every factor 1 + (1-q^2) q^(2k) u of Euler's product for E_{q^2}(u)
+    lies in [-1, 1], so |E| <= 1 at every node. A half then sums to at most
+    1/(1-q) while its bound after M nodes is at least q^M/(1-q), so q^M is
+    a floor on tail/|sum|. Without that condition no floor is known, and the
+    guard decides.
+    """
+    qf, gf = float(qn), float(g)
+    bracket2, fact3 = _low_brackets(qf)
+    a, b, log_per_node = qf * qf / bracket2, abs(gf) / fact3, -math.log1p(-qf)
+
+    def tail_from(weight, x):
+        y = a * float(x) ** 2 + b * abs(float(x)) ** 3 + log_per_node
+        return weight * (math.exp(y) if y < 709.0 else math.inf)
+
+    def nodes(x):
+        weight = 1
+        while True:
+            term = weight * integrand(x)
+            weight *= qn
+            x *= qn
+            yield term, tail_from(weight, x)
+
+    floor = qn ** budget
+    refusal = (floor, tail_from(floor, floor * nu)) if b * float(nu) <= a else None
+    what = f"Jackson sum of the I(g) integrand at g={gf!r}, q={q}"
+    plus, minus = (_bounded_node_sum(nodes(start), budget, tol, what, refusal)[0]
+                   for start in (nu, -nu))
+    scale = (1 - qn) * nu
+    return scale * plus + scale * minus
+
+
 def _fj_numeric_mp(g, q: QParam, trunc: TruncationPolicy, dps: int):
-    """High-precision quadrature for I(g); used where float64 cannot resolve
-    the g^6-scale gap between the numeric value and the order-4 series."""
+    """I(g) by the quadrature at dps + 30 digits, to a tail of 10^-(dps+20);
+    float64 cannot resolve the g^6-scale gap to the order-4 series."""
     qv = q.value
     c_value, _ = _interchanged_c_mp(qv, trunc.max_terms, extra_dps=dps)
     with mp.workdps(dps + 30):
@@ -334,24 +378,14 @@ def _fj_numeric_mp(g, q: QParam, trunc: TruncationPolicy, dps: int):
         else:
             gm = mp.mpf(g)
         e_cutoff = mp.mpf(10) ** (-(dps + 25))
-        entire_sum = lambda u: _entire_sum(u, q_sq, q_sq, trunc.max_terms, e_cutoff, 1)
+        even, odd = -q_sq / bracket2, gm / fact3        # u(x) = x^2 (even + odd x)
 
-        total = mp.mpf(0)
-        weight = mp.mpf(1)
-        x = nu_m
+        def integrand(x):
+            return _entire_sum(x * x * (even + odd * x), q_sq, q_sq, trunc.max_terms,
+                               e_cutoff, 1)
+
         node_cutoff = mp.mpf(10) ** (-(dps + 20))
-        for m_idx in range(trunc.max_terms):
-            x_sq = x * x
-            even_part = -q_sq * x_sq / bracket2
-            odd_part = gm * x * x_sq / fact3
-            term = weight * (entire_sum(even_part + odd_part)
-                             + entire_sum(even_part - odd_part))
-            total += term
-            if m_idx >= 2 and abs(term) <= node_cutoff * abs(total):
-                break
-            weight *= qm
-            x *= qm
-        integral = (1 - qm) * nu_m * total
+        integral = _fj_quadrature(integrand, gm, q, qm, nu_m, trunc.max_terms, node_cutoff)
         return integral / c_value
 
 
@@ -362,7 +396,8 @@ def fj_numeric(g, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY,
     This is the genuinely independent end-to-end oracle: the q^2-exponential
     is evaluated at the shifted argument -q^2 x^2/[2]_q + g x^3/[3]_q! node by
     node, with no reference to the series formulas. Float64 by default; pass
-    dps for an adaptive high-precision run (needed to resolve O(g^6) effects).
+    dps for a high-precision run (needed to resolve O(g^6) effects). Both stop
+    on a guaranteed tail bound or raise TruncationError (see _fj_quadrature).
     """
     if dps is not None:
         return _fj_numeric_mp(g, q, trunc, dps)
@@ -371,8 +406,12 @@ def fj_numeric(g, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY,
 
     def integrand(x):
         u = -qf * qf * x * x / bracket2 + gf * x ** 3 / fact3
-        return E_q(u, q_sq, trunc)
+        value = E_q(u, q_sq, trunc)
+        if not math.isfinite(value):
+            raise EvaluationError(f"I(g) integrand at g={g!r}, q={q} is not finite at x={x!r}")
+        return value
 
-    quad = jackson_integral_symmetric(integrand, math.sqrt(float(1 / (1 - qv))), q, trunc)
+    integral = _fj_quadrature(integrand, gf, q, qf, math.sqrt(float(1 / (1 - qv))),
+                              trunc.max_terms, trunc.relative_tail_tolerance)
     c_value = c_of_q(q, trunc, "interchanged_sum").float_value
-    return quad.value / c_value
+    return integral / c_value

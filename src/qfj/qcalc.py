@@ -3,8 +3,10 @@ q-exponential series, with controlled truncation.
 
 Two evaluation regimes coexist. Exact mode keeps every operation in rational
 arithmetic and always sums the full term budget (the tail tolerance is a
-float-mode concept). Float mode stops early once terms fall below the relative
-tail tolerance. Polynomial integrands bypass node summation entirely: a
+float-mode concept). Float series stop once terms fall below the relative
+tail tolerance, float node sums once a guaranteed tail bound does
+(qgauss._bounded_node_sum); a black-box Jackson integral spends its budget.
+Polynomial integrands bypass node summation entirely: a
 Jackson integral of x^t over [0, b] has the closed form b^(t+1)/[t+1]_q, so
 identity-level tests never depend on truncation.
 """
@@ -33,8 +35,9 @@ class TruncationPolicy:
     """How infinite series and node sums are cut off.
 
     max_terms is the hard budget. relative_tail_tolerance is the float-mode
-    early-stopping threshold (a term smaller than tol * |partial sum| ends the
-    loop); it is ignored in exact mode, which always spends the full budget.
+    early-stopping threshold (a series term, or a node sum's tail bound,
+    at most tol * |partial sum| ends the loop); it is ignored in exact mode,
+    which always spends the full budget.
     """
 
     max_terms: int = 512
@@ -71,8 +74,8 @@ DEFAULT_POLICY = TruncationPolicy()
 class QuadratureResult:
     """Value of a truncated Jackson sum plus diagnostics.
 
-    residual is the magnitude of the last included term (with the (1-q)b node
-    weight folded in); terms_used is 0 for closed-form polynomial paths.
+    residual is |last included term| times the (1-q)b node weight, not a tail
+    bound; terms_used is 0 for closed-form polynomial paths.
     """
 
     value: Real
@@ -118,9 +121,10 @@ def jackson_integral(f: RealFunction, b: Real, q: QParam,
     """Truncated Jackson integral (1-q) b sum_n q^n f(q^n b) over [0, b].
 
     Polynomial integrands are integrated in closed form (exact, no truncation).
-    Black-box callables get the node sum: full budget in exact mode, early
-    stop on the relative tail tolerance in float mode. A non-finite float
-    value at a node raises EvaluationError carrying the node index.
+    A black-box callable has no envelope to bound its tail, so it gets the
+    full budget in either mode, ending early only where a float node q^n b
+    underflows to 0.0 (f(0) is never evaluated). A non-finite float value at
+    a node raises EvaluationError carrying the node index.
     """
     if not (b > 0):
         raise DomainError(f"integration bound must be positive, got {b!r}")
@@ -131,12 +135,13 @@ def jackson_integral(f: RealFunction, b: Real, q: QParam,
         b, qv = as_fraction(b, "integration bound"), q.value
     else:
         b, qv = float(b), q.as_float
-    tol = trunc.relative_tail_tolerance
     total = term = b * 0
     weight = 1         # q^n
     x = b
     used = 0
     for n in range(trunc.max_terms):
+        if x == 0:
+            break
         if exact:
             v = as_fraction(f(x), "integrand value")
         else:
@@ -146,8 +151,6 @@ def jackson_integral(f: RealFunction, b: Real, q: QParam,
         term = weight * v
         total += term
         used = n + 1
-        if not exact and n >= 2 and abs(term) <= tol * max(abs(total), _MIN_FLOAT):
-            break
         weight *= qv
         x *= qv
     scale = (1 - qv) * b

@@ -130,6 +130,41 @@ def _interchanged_nested(qv: Fraction, n: int, terms: int, damping=1) -> Fractio
     return nested / (1 - qv ** (2 * n + 1))
 
 
+def _bounded_node_sum(nodes, budget: int, tol, what: str, refusal=None):
+    """The one bounded Jackson node sum. Returns (sum, nodes used).
+
+    `nodes` yields one (term, tail) pair per node m = 0, 1, ...; tail is a
+    guaranteed bound on |sum of all later terms|. Pairs are drawn lazily, so
+    a node is evaluated only when it is summed, and at most `budget` are.
+
+    The sum stops at the first m >= 2 with tail <= tol * |sum|, never on the
+    last term: near q = 1 the first nodes can sit where the integrand is
+    below float resolution, and noise-scale terms pass any relative test long
+    before the true contributions are summed. A budget that ends with the
+    tail above 1e-9 of the sum (a guard coarser than tol, which would
+    false-alarm near q = 1) raises TruncationError naming `what`.
+
+    `refusal`, when a route can prove one, is (floor, tail): a lower bound on
+    tail/|sum| after `budget` nodes that holds whatever the node values, and
+    the tail bound there. A floor above both tol and 1e-9 (by a 1 % margin
+    for rounding) can neither stop nor pass the guard, so the budget is
+    refused before any node is evaluated.
+    """
+    total = tail = 0.0
+    if refusal is not None and refusal[0] > 1.01 * max(tol, 1e-9):
+        tail = refusal[1]
+    else:
+        for m, (term, tail) in zip(range(budget), nodes):
+            total += term
+            if m >= 2 and tail <= tol * abs(total):
+                return total, m + 1
+    if tail > 1e-9 * abs(total):
+        raise TruncationError(
+            f"{what} leaves a tail bounded by {float(tail):.3e} after {budget} nodes; "
+            f"raise max_terms")
+    return total, budget
+
+
 def _node_sum(n: int, q: QParam, trunc: TruncationPolicy):
     """Jackson node sum of x^(2n) * kernel over [0, nu], without the (1-q) nu
     node weight: sum_m q^m x_m^(2n) kernel(x_m^2) at x_m^2 = q^(2m) nu^2.
@@ -140,18 +175,9 @@ def _node_sum(n: int, q: QParam, trunc: TruncationPolicy):
     geometric in q^(2n+2j+1), so the sum is
     nu^(2n) sum_{j<M} T_j(n) (1 - q^((2n+2j+1)M)) (see _interchanged_nested).
 
-    Float mode runs node by node and stops on the guaranteed envelope bound
-    (kernel at most 1 on the support), tail <= q^m x_m^(2n) d/(1-d) with
-    d = q^(2n+1), not on the last term: near q = 1 the first nodes sit where
-    the kernel is below float resolution, and noise-scale terms would satisfy
-    any relative smallness test long before the true contributions (which
-    grow as the nodes move inward) have been summed. When the budget runs out
-    with that bound above 1e-9 of the sum (a guard deliberately coarser than
-    the stopping tolerance, which would false-alarm near q = 1), it raises
-    TruncationError. Since the kernel is at most 1, the bound after m nodes
-    is at least d^(m+1) of the sum; a budget M with d^M above both the
-    tolerance and 1e-9 (by a 1 % margin for rounding) can neither stop nor
-    pass the guard, and is refused before any kernel is evaluated.
+    Float mode sums node by node, one kernel each, in _bounded_node_sum with
+    the tail bound q^m x_m^(2n) d/(1-d), d = q^(2n+1) (the kernel is at most
+    1 on the support, so after M nodes it is at least d^M of the sum).
     """
     budget = trunc.max_terms
     if trunc.is_exact:
@@ -161,27 +187,20 @@ def _node_sum(n: int, q: QParam, trunc: TruncationPolicy):
         return rectangle / (1 - qv) ** n, budget
     qv = q.as_float
     decay = qv ** (2 * n + 1)
-    tol = trunc.relative_tail_tolerance
-    total = tail = 0.0
-    weight = 1
-    x2 = 1 / (1 - qv)
-    if decay ** budget > 1.01 * max(tol, 1e-9):
-        # hopeless: sum no node, and let the guard report the bound after the budget
-        tail = x2 ** n * decay ** budget / (1 - decay)
-        budget = 0
-    for m in range(budget):
-        envelope = weight * x2 ** n
-        total += envelope * kernel_eval_x2(x2, q, trunc)
-        tail = envelope * decay / (1 - decay)
-        if m >= 2 and tail <= tol * abs(total):
-            return total, m + 1
-        weight *= qv
-        x2 *= qv * qv
-    if tail > 1e-9 * abs(total):
-        raise TruncationError(
-            f"node sum of x^{2 * n} * kernel at q={q} leaves a tail bounded by "
-            f"{tail:.3e} after {trunc.max_terms} nodes; raise max_terms")
-    return total, trunc.max_terms
+    nu2 = 1 / (1 - qv)
+
+    def nodes():
+        weight, x2 = 1, nu2
+        while True:
+            envelope = weight * x2 ** n
+            yield envelope * kernel_eval_x2(x2, q, trunc), envelope * decay / (1 - decay)
+            weight *= qv
+            x2 *= qv * qv
+
+    floor = decay ** budget
+    return _bounded_node_sum(nodes(), budget, trunc.relative_tail_tolerance,
+                             f"node sum of x^{2 * n} * kernel at q={q}",
+                             (floor, nu2 ** n * floor / (1 - decay)))
 
 
 def c_of_q(q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY,

@@ -2,6 +2,7 @@
 perturbative expansion of the cubic-deformed integral."""
 
 import hashlib
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from qfj import fseries
-from qfj.errors import DomainError
+from qfj import fseries, qcalc
+from qfj.errors import DomainError, EvaluationError, TruncationError
 from qfj.fseries import (
     PowerSeries1,
     PowerSeries2,
@@ -241,9 +242,61 @@ class TestNumericEvaluation:
         # move a float of the independent oracle
         assert fj_numeric(0.05, Q_HALF).hex() == "0x1.0016427b5832bp+0"
         assert fj_numeric(0.01, QParam(Fraction(3, 4))).hex() == "0x1.00023d968c574p+0"
+        assert fj_numeric(0.01, QParam(Fraction(99, 100)), TruncationPolicy.floating(4096)
+                          ).hex() == "0x1.00017349dc540p+0"
         with mp.workdps(60):
             assert mp.nstr(fj_numeric(Fraction(1, 20), Q_HALF, dps=60), 50) == (
                 "1.0003396559843148870930903407474041864705288587949")
+
+    @pytest.mark.parametrize("g, qv, budget, dps, tail", [
+        (0.01, Fraction(99, 100), 512, None, "5.834e-01"),        # was 0.9535
+        (Fraction(1, 100), Fraction(99, 100), 512, 60, "5.834e-01"),
+        (0.0, Fraction(409, 410), 4096, None, "1.857e-02"),       # was 1.07e-46
+        (0.01, Fraction(16, 17), 64, None, "3.522e-01"),          # was 0.9317
+    ])
+    def test_short_budget_is_refused_before_any_integrand(self, monkeypatch, g, qv,
+                                                           budget, dps, tail):
+        calls = []
+        monkeypatch.setattr(fseries, "E_q", lambda *args: calls.append(args))
+        monkeypatch.setattr(fseries, "_entire_sum", lambda *args: calls.append(args))
+        with pytest.raises(TruncationError,
+                           match=re.escape(f"tail bounded by {tail} after {budget} nodes")):
+            fj_numeric(g, QParam(qv), TruncationPolicy.floating(budget), dps=dps)
+        assert calls == []
+
+    def test_guard_raises_where_no_refusal_is_proven(self, monkeypatch):
+        # g = 1 lifts u above 0 at the outer nodes, so no |E| <= 1 floor holds
+        calls = []
+        original = fseries.E_q
+        monkeypatch.setattr(fseries, "E_q",
+                            lambda *args: calls.append(args) or original(*args))
+        q = QParam(Fraction(3, 4))
+        with pytest.raises(TruncationError, match=r"tail bounded by 4\.036e-08 after 64"):
+            fj_numeric(1.0, q, TruncationPolicy.floating(64))
+        assert len(calls) == 64
+        assert fj_numeric(1.0, q, TruncationPolicy.floating(128)) == pytest.approx(
+            1.3668281698878, abs=1e-12)
+
+    def test_overflowing_integrand_raises_at_once(self):
+        with pytest.raises(EvaluationError, match="not finite at x=100.0"):
+            fj_numeric(0.05, QParam(Fraction(9999, 10000)), TruncationPolicy.floating(100000))
+
+    def test_never_calls_the_black_box_jackson_integral(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("fj_numeric reached qcalc.jackson_integral")
+        monkeypatch.setattr(qcalc, "jackson_integral", refuse)
+        assert fj_numeric(0.05, Q_HALF).hex() == "0x1.0016427b5832bp+0"
+
+    @given(st.fractions(min_value=Fraction(99, 100), max_value=Fraction(9999, 10000),
+                        max_denominator=10000),
+           st.sampled_from([512, 4096, 16384]))
+    @settings(max_examples=10, deadline=None)
+    def test_zero_coupling_near_one_is_one_or_raises(self, qv, budget):
+        try:
+            value = fj_numeric(0.0, QParam(qv), TruncationPolicy.floating(budget))
+        except TruncationError:
+            return
+        assert abs(value - 1) < 1e-8
 
     def test_high_precision_path_agrees_with_float_path(self):
         mp_val = float(fj_numeric(Fraction(1, 20), Q_HALF, dps=40))

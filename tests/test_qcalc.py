@@ -93,6 +93,19 @@ class TestJacksonIntegral:
         assert r.value == pytest.approx(4 / 7, rel=1e-12)
         assert r.terms_used > 0
 
+    def test_callable_sums_past_a_zero_integrand_value(self):
+        # f(1/4) = 0 at node 2; a relative-term stop ended there, at 0.4375
+        r = jackson_integral(lambda x: x - 0.25, 1.0, Q_HALF, DEFAULT_POLICY)
+        assert r.value == pytest.approx(5 / 12, abs=1e-15)
+        assert r.terms_used == DEFAULT_POLICY.max_terms
+
+    def test_callable_stops_where_the_node_underflows(self):
+        # x^(-1/2) integrates to (1-q)/(1-sqrt q) = 1 + sqrt q; f(0) would raise
+        q = QParam(Fraction(1, 1000))
+        r = jackson_integral(lambda x: x ** -0.5, 1.0, q, TruncationPolicy.floating(512))
+        assert abs(r.value - (1 + math.sqrt(0.001))) < 1e-12
+        assert r.terms_used < 512
+
     def test_upper_limit_must_be_positive(self):
         with pytest.raises(DomainError):
             jackson_integral(XPoly((Fraction(1),)), Fraction(-1), Q_HALF, DEFAULT_POLICY)

@@ -27,6 +27,10 @@ SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 q_params = st.fractions(min_value=Fraction(1, 8), max_value=Fraction(4, 5),
                         max_denominator=16).map(QParam)
+# the classical-limit regime, with budgets that reach a value only for part of it
+near_one = st.fractions(min_value=Fraction(99, 100), max_value=Fraction(9999, 10000),
+                        max_denominator=10000).map(QParam)
+near_one_budgets = st.sampled_from([512, 4096, 16384]).map(TruncationPolicy.floating)
 
 
 def node_by_node_exact(n: int, q: QParam, M: int) -> Fraction:
@@ -341,3 +345,27 @@ class TestMoments:
         assert lo > 0
         # ratio is [2n+1]_q >= 1
         assert hi >= lo * 0.999
+
+
+class TestNearClassicalLimit:
+    """q in [0.99, 0.9999]: every float route is right within its bound or raises."""
+
+    @given(near_one, near_one_budgets)
+    @settings(max_examples=10, deadline=None)
+    def test_normalization_routes_agree_or_one_raises(self, q, trunc):
+        try:
+            a = c_of_q(q, trunc, "interchanged_sum").float_value
+            b = c_of_q(q, trunc, "double_sum").float_value
+        except TruncationError:
+            return
+        assert abs(a - b) < 1e-10
+
+    @given(near_one, near_one_budgets, st.integers(min_value=0, max_value=3))
+    @settings(max_examples=10, deadline=None)
+    def test_moment_recursion_holds_or_the_node_sum_raises(self, q, trunc, n):
+        try:
+            ratio = (moment_by_integration(2 * n + 2, q, trunc)
+                     / moment_by_integration(2 * n, q, trunc))
+        except TruncationError:
+            return
+        assert abs(ratio - float(q_bracket(2 * n + 1).eval(q.value))) < 1e-8

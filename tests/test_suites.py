@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qfj import suites
-from qfj.qcalc import DEFAULT_POLICY
+from qfj.qcalc import DEFAULT_POLICY, TruncationPolicy
 from qfj.qcore import QParam
 
 
@@ -24,3 +24,14 @@ def test_g6_scaling_refuses_a_residual_the_truncation_contaminates():
     assert result.detail == (
         "residual ratios under g -> g/2: 61.3, 38.2 (want ~64); series truncation "
         "bound 7.0e-11 is above a tenth of the residual 1.6e-10 at g=1/40")
+
+
+@pytest.mark.parametrize("qv, budget, g", [
+    (Fraction(1, 2), 512, "0.05"),
+    (Fraction(9, 10), 512, "0.0173"),       # g = 0.05 left a 6.2e-9 gap here
+    (Fraction(99, 100), 4096, "0.0143"),    # and 1.9e-8 here
+])
+def test_numeric_matches_series_sizes_g_from_a6(qv, budget, g):
+    result = suites.numeric_matches_series(QParam(qv), TruncationPolicy.floating(budget))
+    assert result.passed
+    assert result.detail.startswith(f"float quadrature vs order-4 series at g={g}: gap ")
