@@ -6,9 +6,9 @@ arithmetic and always sums the full term budget (the tail tolerance is a
 float-mode concept). Float series stop once terms fall below the relative
 tail tolerance, float node sums once a guaranteed tail bound does
 (qgauss._bounded_node_sum); a black-box Jackson integral spends its budget.
-Polynomial integrands bypass node summation entirely: a
-Jackson integral of x^t over [0, b] has the closed form b^(t+1)/[t+1]_q, so
-identity-level tests never depend on truncation.
+Polynomial integrands bypass node summation entirely: a Jackson integral of
+x^t over [0, b] has the closed form b^(t+1)/[t+1]_q, so identity-level tests
+never depend on truncation.
 """
 
 from __future__ import annotations
