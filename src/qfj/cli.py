@@ -333,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default 1/2; decimals like 0.9 are read exactly)")
     shared.add_argument("--max-terms", type=int, default=512,
                         help="truncation budget for series and quadrature (default 512)")
-    shared.add_argument("--tol", type=float, default=1e-30,
-                        help="relative tail tolerance for float summation (default 1e-30)")
     shared.add_argument("--format", choices=("json", "csv"), default="json",
                         help="output format (default json, line-delimited records)")
     shared.add_argument("--out", metavar="PATH", default=None,
@@ -399,10 +397,7 @@ def main(argv=None) -> int:
         q = _parse_q(args.q)
         if args.max_terms < 1:
             raise DomainError("--max-terms must be a positive integer")
-        if not (0.0 < args.tol < 1.0):
-            raise DomainError("--tol must lie strictly between 0 and 1")
-        policy = TruncationPolicy(max_terms=args.max_terms,
-                                  relative_tail_tolerance=args.tol)
+        policy = TruncationPolicy(max_terms=args.max_terms)
         records, code = args.func(args, q, policy)
     except QfjError as exc:
         print(f"qfj: error: {exc}", file=sys.stderr)

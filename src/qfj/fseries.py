@@ -17,8 +17,9 @@ from typing import Mapping
 
 import mpmath as mp
 
-from .errors import DomainError, EvaluationError
-from .qcalc import DEFAULT_POLICY, TruncationPolicy, E_q, _entire_sum
+from .errors import DomainError, EvaluationError, TruncationError
+from .qcalc import (DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, TruncationPolicy, E_q,
+                    _entire_log_terms, _entire_sum, _magnitude_scan, _needs)
 from .qcore import QParam, QScalar, as_fraction, binomial
 from .qgauss import _bounded_node_sum, _interchanged_c_mp, c_of_q
 
@@ -59,13 +60,12 @@ class PowerSeries1:
 class PowerSeries2:
     """Truncated bivariate power series with a total-degree bound.
 
-    terms maps (i, j) to the coefficient of variables[0]^i * variables[1]^j;
+    terms maps (i, j) to the coefficient of x^i * y^j;
     monomials beyond the bound are dropped by construction and by products.
     """
 
     terms: Mapping[tuple[int, int], QScalar]
     truncation: int
-    variables: tuple[str, str] = ("x", "y")
 
     def __post_init__(self):
         clean = {key: value for key, value in self.terms.items()
@@ -86,7 +86,7 @@ class PowerSeries2:
                 key = (i, j)
                 prod = a * b
                 out[key] = out[key] + prod if key in out else prod
-        return PowerSeries2(out, bound, self.variables)
+        return PowerSeries2(out, bound)
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,7 +285,7 @@ def integrand_expansion(order_g: int, order_x: int, q: QParam) -> PowerSeries2:
             acc = _expansion_coefficient(c, d, qv, *brackets)
             if acc:
                 terms[(2 * c + 3 * d, d)] = QScalar(acc, 0, qv)
-    return PowerSeries2(terms, order_x + order_g, variables=("x", "g"))
+    return PowerSeries2(terms, order_x + order_g)
 
 
 def _expansion_coefficient(c: int, d: int, qv: Fraction,
@@ -364,11 +364,20 @@ def _fj_quadrature(integrand, g, q: QParam, qn, nu, budget: int, tol):
 
 
 def _fj_numeric_mp(g, q: QParam, trunc: TruncationPolicy, dps: int):
-    """I(g) by the quadrature at dps + 30 digits, to a tail of 10^-(dps+20);
-    float64 cannot resolve the g^6-scale gap to the order-4 series."""
-    qv = q.value
-    c_value, _ = _interchanged_c_mp(qv, trunc.max_terms, extra_dps=dps)
-    with mp.workdps(dps + 30):
+    """I(g) by the quadrature to a tail of 10^-(dps+20); float64 cannot
+    resolve the g^6-scale gap to the order-4 series. The alternating terms of
+    the integrand E_{q^2}(u) are largest at the outer nodes, where |u| is at
+    most U(nu) = q^2 nu^2/[2]_q + |g| nu^3/[3]_q!. One magnitude scan at U(nu)
+    sets the working precision, dps + 30 digits past their peak; a budget too
+    short for them to fall below the integrand cutoff 10^-(dps+25) raises at
+    the first integrand, so a budget the quadrature refuses keeps its message.
+    """
+    qv, qf, budget = q.value, q.as_float, trunc.max_terms
+    c_value, _ = _interchanged_c_mp(qv, budget, extra_dps=dps)
+    bracket2, fact3 = _low_brackets(qf)
+    outer = qf * qf / (1 - qf) / bracket2 + abs(float(g)) / (1 - qf) ** 1.5 / fact3
+    peak, _, _, needed = _magnitude_scan(_entire_log_terms(outer, qf * qf), budget, -dps - 25)
+    with mp.workdps(dps + 30 + int(peak)):
         qm = mp.mpf(qv.numerator) / qv.denominator
         q_sq = qm * qm
         nu_m = 1 / mp.sqrt(1 - qm)
@@ -381,11 +390,14 @@ def _fj_numeric_mp(g, q: QParam, trunc: TruncationPolicy, dps: int):
         even, odd = -q_sq / bracket2, gm / fact3        # u(x) = x^2 (even + odd x)
 
         def integrand(x):
-            return _entire_sum(x * x * (even + odd * x), q_sq, q_sq, trunc.max_terms,
-                               e_cutoff, 1)
+            if needed is None or needed > budget:
+                raise TruncationError(
+                    f"I(g) integrand at g={float(g)!r}, q={q} needs {_needs(needed)} terms "
+                    f"to reach 1e-{dps + 25} at x = nu, budget is {budget}; raise max_terms")
+            return _entire_sum(x * x * (even + odd * x), q_sq, q_sq, budget, e_cutoff, 1)
 
         node_cutoff = mp.mpf(10) ** (-(dps + 20))
-        integral = _fj_quadrature(integrand, gm, q, qm, nu_m, trunc.max_terms, node_cutoff)
+        integral = _fj_quadrature(integrand, gm, q, qm, nu_m, budget, node_cutoff)
         return integral / c_value
 
 
@@ -412,6 +424,6 @@ def fj_numeric(g, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY,
         return value
 
     integral = _fj_quadrature(integrand, gf, q, qf, math.sqrt(float(1 / (1 - qv))),
-                              trunc.max_terms, trunc.relative_tail_tolerance)
+                              trunc.max_terms, FLOAT_TAIL_TOLERANCE)
     c_value = c_of_q(q, trunc, "interchanged_sum").float_value
     return integral / c_value

@@ -2,10 +2,10 @@
 q-exponential series, with controlled truncation.
 
 Two evaluation regimes coexist. Exact mode keeps every operation in rational
-arithmetic and always sums the full term budget (the tail tolerance is a
-float-mode concept). Float series stop once terms fall below the relative
-tail tolerance, float node sums once a guaranteed tail bound does
-(qgauss._bounded_node_sum); a black-box Jackson integral spends its budget.
+arithmetic and always sums the full term budget. Float series stop once a
+term falls to FLOAT_TAIL_TOLERANCE of the partial sum, float node sums once a
+guaranteed tail bound does (qgauss._bounded_node_sum); a black-box Jackson
+integral spends its budget.
 Polynomial integrands bypass node summation entirely: a Jackson integral of
 x^t over [0, b] has the closed form b^(t+1)/[t+1]_q, so identity-level tests
 never depend on truncation.
@@ -27,6 +27,7 @@ from .qcore import QParam, QPolynomial, as_fraction
 Real = Union[int, Fraction, float]
 
 _MIN_FLOAT = 1e-300  # guards relative-size tests against a zero running sum
+FLOAT_TAIL_TOLERANCE = 1e-30  # float loops stop at a term or tail bound this far below the sum
 _SCAN_LIMIT = 200_000  # longest log-magnitude scan behind a TruncationError hint
 
 
@@ -34,14 +35,12 @@ _SCAN_LIMIT = 200_000  # longest log-magnitude scan behind a TruncationError hin
 class TruncationPolicy:
     """How infinite series and node sums are cut off.
 
-    max_terms is the hard budget. relative_tail_tolerance is the float-mode
-    early-stopping threshold (a series term, or a node sum's tail bound,
-    at most tol * |partial sum| ends the loop); it is ignored in exact mode,
-    which always spends the full budget.
+    max_terms is the hard budget. Float mode may stop earlier, once a series
+    term or a node sum's tail bound is at most FLOAT_TAIL_TOLERANCE times the
+    partial sum; exact mode always spends the full budget.
     """
 
     max_terms: int = 512
-    relative_tail_tolerance: float = 1e-30
     mode: str = "float"
 
     def __post_init__(self):
@@ -49,18 +48,14 @@ class TruncationPolicy:
             raise DomainError(f"mode must be 'exact' or 'float', got {self.mode!r}")
         if not isinstance(self.max_terms, int) or self.max_terms < 1:
             raise DomainError("max_terms must be a positive integer")
-        if self.relative_tail_tolerance < 0:
-            raise DomainError("relative_tail_tolerance must be non-negative")
 
     @classmethod
     def exact(cls, max_terms: int) -> "TruncationPolicy":
-        return cls(max_terms=max_terms, relative_tail_tolerance=0.0, mode="exact")
+        return cls(max_terms=max_terms, mode="exact")
 
     @classmethod
-    def floating(cls, max_terms: int = 512,
-                 relative_tail_tolerance: float = 1e-30) -> "TruncationPolicy":
-        return cls(max_terms=max_terms, relative_tail_tolerance=relative_tail_tolerance,
-                   mode="float")
+    def floating(cls, max_terms: int = 512) -> "TruncationPolicy":
+        return cls(max_terms=max_terms, mode="float")
 
     @property
     def is_exact(self) -> bool:
@@ -192,7 +187,7 @@ def e_q(x: Real, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY) -> Real:
     if trunc.is_exact and not isinstance(x, float):
         xv, qv, tol, floor = as_fraction(x, "argument"), q.value, 0, 0
     else:
-        xv, qv, tol, floor = float(x), q.as_float, trunc.relative_tail_tolerance, _MIN_FLOAT
+        xv, qv, tol, floor = float(x), q.as_float, FLOAT_TAIL_TOLERANCE, _MIN_FLOAT
     s = abs(xv) * (1 - qv)
     if s >= 1:
         raise DivergenceError(
@@ -231,15 +226,15 @@ def _entire_sum(x, p, growth, max_terms: int, tol, floor):
     return total
 
 
-def _magnitude_scan(log_terms, budget: int):
-    """Walk log10 |term_n| for n = 0, 1, ... until a term falls below 1e-45,
-    for at most max(_SCAN_LIMIT, budget + 1) terms.
+def _magnitude_scan(log_terms, budget: int, cutoff: float = -45):
+    """Walk log10 |term_n| for n = 0, 1, ... until a term falls below
+    10^cutoff, for at most max(_SCAN_LIMIT, budget + 1) terms.
 
     Returns (peak, peak_at, at_budget, needed): the largest magnitude (at
     least that of a leading 1) and its index, which size the working
     precision of a cancelling sum; the magnitude of term `budget`, the first
     one a budget-long sum omits (inf if the walk stops before it); and the
-    number of terms up to the first below 1e-45, None if none comes.
+    number of terms up to the first below 10^cutoff, None if none comes.
     """
     peak, peak_at, at_budget = 0.0, 0, math.inf
     for n, log_term in enumerate(islice(log_terms, max(_SCAN_LIMIT, budget + 1))):
@@ -247,7 +242,7 @@ def _magnitude_scan(log_terms, budget: int):
             peak, peak_at = log_term, n
         if n == budget:
             at_budget = log_term
-        if log_term < -45:
+        if log_term < cutoff:
             return peak, peak_at, at_budget, n + 1
     return peak, peak_at, at_budget, None
 
@@ -304,21 +299,16 @@ def E_q(x: Real, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY) -> Real:
     """
     if trunc.is_exact and not isinstance(x, float):
         return _entire_sum(as_fraction(x, "argument"), q.value, q.value, trunc.max_terms, 0, 0)
-    xf, qf, tol = float(x), q.as_float, trunc.relative_tail_tolerance
+    xf, qf, tol = float(x), q.as_float, FLOAT_TAIL_TOLERANCE
     s = -xf * (1.0 - qf)      # |x| over the e_q radius
     if 0.0 < s < 1.0:
-        # The reciprocal series grows for ~log(1-s)/log q terms before
-        # decaying at asymptotic rate s; take it only when both phases fit
-        # the term budget, otherwise e_q refuses the hump or the sum stops
-        # short. A zero tolerance stops that float sum only when its terms
-        # underflow.
+        # e_q's series grows for ~log(1-s)/log q terms, then decays at rate s;
+        # sum it only when both phases fit the budget (its hump then stays
+        # under e_q's refusal). An overflow gives 1/inf = 0.0, right in float.
         hump = _growing_terms(s, qf)
-        decay = math.log(max(tol, math.ulp(0.0))) / math.log(s)
+        decay = math.log(tol) / math.log(s)
         if 2.0 * hump + decay <= 0.9 * trunc.max_terms:
-            try:
-                return 1.0 / e_q(-xf, q, trunc)
-            except EvaluationError:     # e_q(-x) > 1.8e308: E_q is 0 to float resolution
-                return 0.0
+            return 1.0 / _entire_sum(-xf, qf, 1, trunc.max_terms, tol, _MIN_FLOAT)
     if xf < 0:
         return _E_q_float_fallback(xf, q, trunc)
     return _entire_sum(xf, qf, qf, trunc.max_terms, tol, _MIN_FLOAT)

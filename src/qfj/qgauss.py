@@ -19,7 +19,8 @@ from itertools import count
 import mpmath as mp
 
 from .errors import DomainError, TruncationError
-from .qcalc import DEFAULT_POLICY, E_q, TruncationPolicy, _magnitude_scan, _needs
+from .qcalc import (DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, E_q, TruncationPolicy,
+                    _magnitude_scan, _needs)
 from .qcore import QParam, QScalar, as_fraction, q_double_factorial, QPolynomial
 
 
@@ -141,24 +142,25 @@ def _bounded_node_sum(nodes, budget: int, tol, what: str, refusal=None):
     last term: near q = 1 the first nodes can sit where the integrand is
     below float resolution, and noise-scale terms pass any relative test long
     before the true contributions are summed. A budget that ends with the
-    tail above 1e-9 of the sum (a guard coarser than tol, which would
-    false-alarm near q = 1) raises TruncationError naming `what`.
+    tail above 1e-11 of the sum raises TruncationError naming `what`: a guard
+    coarser than tol, which would false-alarm near q = 1, yet fine enough to
+    keep a returned c(q) < 2.51 within 2.6e-11 of the full sum.
 
     `refusal`, when a route can prove one, is (floor, tail): a lower bound on
     tail/|sum| after `budget` nodes that holds whatever the node values, and
-    the tail bound there. A floor above both tol and 1e-9 (by a 1 % margin
+    the tail bound there. A floor above both tol and 1e-11 (by a 1 % margin
     for rounding) can neither stop nor pass the guard, so the budget is
     refused before any node is evaluated.
     """
     total = tail = 0.0
-    if refusal is not None and refusal[0] > 1.01 * max(tol, 1e-9):
+    if refusal is not None and refusal[0] > 1.01 * max(tol, 1e-11):
         tail = refusal[1]
     else:
         for m, (term, tail) in zip(range(budget), nodes):
             total += term
             if m >= 2 and tail <= tol * abs(total):
                 return total, m + 1
-    if tail > 1e-9 * abs(total):
+    if tail > 1e-11 * abs(total):
         raise TruncationError(
             f"{what} leaves a tail bounded by {float(tail):.3e} after {budget} nodes; "
             f"raise max_terms")
@@ -198,7 +200,7 @@ def _node_sum(n: int, q: QParam, trunc: TruncationPolicy):
             x2 *= qv * qv
 
     floor = decay ** budget
-    return _bounded_node_sum(nodes(), budget, trunc.relative_tail_tolerance,
+    return _bounded_node_sum(nodes(), budget, FLOAT_TAIL_TOLERANCE,
                              f"node sum of x^{2 * n} * kernel at q={q}",
                              (floor, nu2 ** n * floor / (1 - decay)))
 

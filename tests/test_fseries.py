@@ -264,6 +264,45 @@ class TestNumericEvaluation:
             fj_numeric(g, QParam(qv), TruncationPolicy.floating(budget), dps=dps)
         assert calls == []
 
+    def test_short_integrand_budget_is_refused_before_any_integrand(self, monkeypatch):
+        # g = 1 proves no quadrature floor, and E_{q^2}(u) at x = nu needs 29
+        # terms to fall below 1e-85; the 24-term integrand used to be summed
+        # short at every node
+        calls = []
+        monkeypatch.setattr(fseries, "_entire_sum", lambda *args: calls.append(args))
+        with pytest.raises(TruncationError, match="needs about 29 terms to reach 1e-85 at "
+                                                  "x = nu, budget is 24"):
+            fj_numeric(Fraction(1), QParam(Fraction(3, 4)), TruncationPolicy.floating(24),
+                       dps=60)
+        assert calls == []
+
+    def test_mp_precision_covers_the_outer_node_term_peak(self, monkeypatch):
+        # at q = 499/500 the terms of E_{q^2}(u) at x = nu peak about 1e96
+        # above the integrand: at a fixed dps + 30 digits the outer nodes were
+        # noise, and fj_numeric(0, 499/500, floating(16384), dps=60) gave 0.99996
+        class FirstIntegrand(Exception):
+            pass
+
+        def record(*args):
+            seen.append(mp.mp.dps)
+            raise FirstIntegrand
+
+        seen = []
+        monkeypatch.setattr(fseries, "_entire_sum", record)
+        qv = Fraction(499, 500)
+        with pytest.raises(FirstIntegrand):
+            fj_numeric(0, QParam(qv), TruncationPolicy.floating(16384), dps=60)
+        with mp.workdps(30):
+            qm = mp.mpf(499) / 500
+            p = qm * qm
+            x = p / (1 - qm) / (1 + qm)     # |u| at x = nu
+            term, bracket, peak = mp.mpf(1), mp.mpf(0), mp.mpf(1)
+            for n in range(2000):
+                bracket += p ** n
+                term *= x * p ** n / bracket
+                peak = max(peak, term)
+        assert seen == [60 + 30 + int(mp.log10(peak))]
+
     def test_guard_raises_where_no_refusal_is_proven(self, monkeypatch):
         # g = 1 lifts u above 0 at the outer nodes, so no |E| <= 1 floor holds
         calls = []
