@@ -29,7 +29,7 @@ GRID = [
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--extreme", action="store_true",
-                        help="append q = 0.9999 (needs ~8600 terms, a few seconds)")
+                        help="append q = 0.9999 (needs ~8600 terms, about 0.7 s on 2 CPUs)")
     args = parser.parse_args()
 
     grid = list(GRID)

@@ -21,9 +21,7 @@ from .errors import DomainError, EvaluationError, TruncationError
 from .qcalc import (DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, TruncationPolicy, E_q,
                     _entire_log_terms, _entire_sum, _magnitude_scan, _needs)
 from .qcore import QParam, QScalar, as_fraction, binomial
-from .qgauss import _bounded_node_sum, _interchanged_c_mp, c_of_q
-
-PER_Q_CACHE_SIZE = 256  # entries per (n, q) memo: a few q values' worth
+from .qgauss import PER_Q_CACHE_SIZE, _bounded_node_sum, _interchanged_c_mp, c_of_q
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 
 import mpmath as mp
@@ -22,6 +23,8 @@ from .errors import DomainError, TruncationError
 from .qcalc import (DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, E_q, TruncationPolicy,
                     _magnitude_scan, _needs)
 from .qcore import QParam, QScalar, as_fraction, q_double_factorial, QPolynomial
+
+PER_Q_CACHE_SIZE = 256  # entries in each per-q memo: a few q values' worth
 
 
 def kernel_eval_x2(x_squared, q: QParam,
@@ -84,6 +87,24 @@ def _interchanged_c_mp(qv: Fraction, max_terms: int, extra_dps: int = 0) -> tupl
     size within max_terms: an alternating partial sum cut mid-hump is pure
     cancellation noise, not an approximation.
 
+    The scan, the budget check and so the refusal and terms_used are decided
+    on every call; the sum itself is memoized per (exact q, working
+    precision) in _interchanged_sum, so a process sums each c(q) once.
+    """
+    peak, _, _, needed = _magnitude_scan(_interchanged_log_terms(float(qv)), max_terms)
+    if needed is None or needed > max_terms:
+        raise TruncationError(
+            f"normalization series at q={qv} needs {_needs(needed)} terms to converge, "
+            f"budget is {max_terms}; raise max_terms")
+    return _interchanged_sum(qv, needed, max(30, int(peak) + 60) + extra_dps), needed
+
+
+@lru_cache(maxsize=PER_Q_CACHE_SIZE)
+def _interchanged_sum(qv: Fraction, needed: int, dps: int) -> mp.mpf:
+    """The first `needed` terms of the c(q) series, times 2 sqrt(1-q), at
+    `dps` digits. Keyed by the exact Fraction q: two q with the same float
+    have different sums.
+
     The N terms T_j are summed backward as t_j = 1/(1-q^(2j+1)) + r_j t_(j+1),
     U_j = T_j (1-q^(2j+1)), r_j = U_(j+1)/U_j = -q^(2j+2)/(1-q^(2j+2)); t_0 is
     the sum. With q = a/b, t_j is a pair of ints num/den in fixed point at
@@ -94,12 +115,6 @@ def _interchanged_c_mp(qv: Fraction, max_terms: int, extra_dps: int = 0) -> tupl
     term T_j and the tail U_j t_j from j, at most about 10^peak: the peak + 60
     digits keep 60 past the peak, as they do for a forward sum.
     """
-    peak, _, _, needed = _magnitude_scan(_interchanged_log_terms(float(qv)), max_terms)
-    if needed is None or needed > max_terms:
-        raise TruncationError(
-            f"normalization series at q={qv} needs {_needs(needed)} terms to converge, "
-            f"budget is {max_terms}; raise max_terms")
-    dps = max(30, int(peak) + 60) + extra_dps
     a, b = qv.numerator, qv.denominator
     a_top, b_top = a ** (2 * needed - 1), b ** (2 * needed - 1)
     with mp.workdps(dps):
@@ -115,7 +130,7 @@ def _interchanged_c_mp(qv: Fraction, max_terms: int, extra_dps: int = 0) -> tupl
             num, den = (scaled << bits) - odd * (even * num >> bits), odd * scaled
             shift = den.bit_length() - bits
             num, den = num >> shift, den >> shift
-        return 2 * mp.sqrt(1 - mp.mpf(a) / b) * mp.fdiv(num, den), needed
+        return 2 * mp.sqrt(1 - mp.mpf(a) / b) * mp.fdiv(num, den)
 
 
 def _interchanged_nested(qv: Fraction, n: int, terms: int, damping=1) -> Fraction:

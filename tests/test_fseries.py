@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from qfj import fseries, qcalc
+from qfj import fseries, qcalc, qgauss
 from qfj.errors import DomainError, EvaluationError, TruncationError
 from qfj.fseries import (
     PowerSeries1,
@@ -185,9 +185,12 @@ class TestEvaluatedProducts:
         # 40 fresh q values need 1,000 _ddf_at entries at max_c = 24
         for b in range(1009, 1049):
             fj_coefficient(4, QParam(Fraction(b - 1000, b)), 24)
-        for cached in (fseries._ddf_at, fseries._qsq_factorial_at):
+        # and 300 fresh q values need 300 mp c(q) sums
+        for b in range(2, 302):
+            qgauss._interchanged_c_mp(Fraction(1, b), 64)
+        for cached in (fseries._ddf_at, fseries._qsq_factorial_at, qgauss._interchanged_sum):
             info = cached.cache_info()
-            assert info.maxsize == fseries.PER_Q_CACHE_SIZE
+            assert info.maxsize == qgauss.PER_Q_CACHE_SIZE
             assert info.currsize <= info.maxsize
 
     def test_series_builds_no_polynomial(self, monkeypatch):

@@ -221,6 +221,40 @@ class TestMpNormalization:
         assert (result.float_value.hex(), result.terms_used) == (pinned, used)
 
 
+class TestMpNormalizationMemo:
+    def test_moment_table_sums_the_series_once(self):
+        qgauss._interchanged_sum.cache_clear()
+        q = QParam(Fraction(140, 141))
+        for k in range(11):
+            moment_by_integration(k, q, TruncationPolicy.floating(4512))
+        info = qgauss._interchanged_sum.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
+
+    def test_refusal_and_terms_used_are_decided_per_call(self):
+        q = QParam(Fraction(999, 1000))
+        qgauss._interchanged_sum.cache_clear()
+        cold = c_of_q(q, TruncationPolicy.floating(4096))
+        warm = c_of_q(q, TruncationPolicy.floating(1024))
+        assert (warm.float_value, warm.terms_used) == (cold.float_value, cold.terms_used)
+        assert cold.terms_used == 916
+        with pytest.raises(TruncationError) as refused:
+            c_of_q(q, TruncationPolicy.floating(915))
+        assert str(refused.value) == ("normalization series at q=999/1000 needs about 916 "
+                                      "terms to converge, budget is 915; raise max_terms")
+        info = qgauss._interchanged_sum.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_key_is_the_exact_q_not_its_float(self):
+        third, near = Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 40)
+        assert float(third) == float(near)
+        qgauss._interchanged_sum.cache_clear()
+        values = [qgauss._interchanged_c_mp(qv, 4096, extra_dps=60)[0] for qv in (third, near)]
+        assert qgauss._interchanged_sum.cache_info().misses == 2
+        digits = [mp.nstr(value, 50) for value in values]
+        assert digits[0] != digits[1]
+        assert digits[1] == mp.nstr(forward_c_mp(near, 4096, 60)[0], 50)
+
+
 class TestFloatNodeSum:
     def test_double_sum_value_is_pinned(self):
         result = c_of_q(QParam(Fraction(409, 410)), TruncationPolicy.floating(13120),
