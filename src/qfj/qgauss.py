@@ -12,6 +12,7 @@ normalized moments come out as plain rationals.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,6 +26,7 @@ from .qcalc import (DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, E_q, TruncationPolicy,
 from .qcore import QParam, QScalar, as_fraction, q_double_factorial, QPolynomial
 
 PER_Q_CACHE_SIZE = 256  # entries in each per-q memo: a few q values' worth
+NODE_KERNEL_DOUBLES = 1 << 20  # floats held by _node_kernels in all: 8 MiB
 
 
 def kernel_eval_x2(x_squared, q: QParam,
@@ -182,6 +184,43 @@ def _bounded_node_sum(nodes, budget: int, tol, what: str, refusal=None):
     return total, budget
 
 
+class _NodeKernels:
+    """Float kernel values at the Jackson nodes x_m^2 = q^(2m) nu^2, one
+    array('d') per (exact q, budget): E_q picks its route from the budget,
+    and a float64 round-trips the array exactly. At most `max_doubles` values
+    are held in all; the least recently fetched entries make room, and an
+    entry that alone fills the bound stops growing.
+    """
+
+    def __init__(self, max_doubles: int):
+        self.max_doubles = max_doubles
+        self.entries: dict[tuple[Fraction, int], array] = {}
+        self.doubles = 0
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.doubles = 0
+
+    def entry(self, q: QParam, budget: int) -> array:
+        key = (q.value, budget)
+        values = self.entries.pop(key, None) or array("d")
+        self.entries[key] = values      # most recently fetched last
+        return values
+
+    def store(self, values: array, kernel: float) -> float:
+        while self.doubles >= self.max_doubles:
+            oldest = next(iter(self.entries))
+            if self.entries[oldest] is values:
+                return kernel
+            self.doubles -= len(self.entries.pop(oldest))
+        values.append(kernel)
+        self.doubles += 1
+        return kernel
+
+
+_node_kernels = _NodeKernels(NODE_KERNEL_DOUBLES)
+
+
 def _node_sum(n: int, q: QParam, trunc: TruncationPolicy):
     """Jackson node sum of x^(2n) * kernel over [0, nu], without the (1-q) nu
     node weight: sum_m q^m x_m^(2n) kernel(x_m^2) at x_m^2 = q^(2m) nu^2.
@@ -192,9 +231,13 @@ def _node_sum(n: int, q: QParam, trunc: TruncationPolicy):
     geometric in q^(2n+2j+1), so the sum is
     nu^(2n) sum_{j<M} T_j(n) (1 - q^((2n+2j+1)M)) (see _interchanged_nested).
 
-    Float mode sums node by node, one kernel each, in _bounded_node_sum with
-    the tail bound q^m x_m^(2n) d/(1-d), d = q^(2n+1) (the kernel is at most
-    1 on the support, so after M nodes it is at least d^M of the sum).
+    Float mode sums node by node in _bounded_node_sum with the tail bound
+    q^m x_m^(2n) d/(1-d), d = q^(2n+1) (the kernel is at most 1 on the
+    support, so after M nodes it is at least d^M of the sum). Every n steps
+    through the same x_m^2, so each node's kernel_eval_x2 is evaluated once
+    per process per (exact q, budget) and read back from _node_kernels by
+    every later sum; the entry is fetched when the first node is drawn, so a
+    refused budget touches no memo, and it grows only as far as a sum reads.
     """
     budget = trunc.max_terms
     if trunc.is_exact:
@@ -207,10 +250,13 @@ def _node_sum(n: int, q: QParam, trunc: TruncationPolicy):
     nu2 = 1 / (1 - qv)
 
     def nodes():
+        kernels = _node_kernels.entry(q, budget)
         weight, x2 = 1, nu2
-        while True:
+        for m in count():
+            kernel = (kernels[m] if m < len(kernels) else
+                      _node_kernels.store(kernels, kernel_eval_x2(x2, q, trunc)))
             envelope = weight * x2 ** n
-            yield envelope * kernel_eval_x2(x2, q, trunc), envelope * decay / (1 - decay)
+            yield envelope * kernel, envelope * decay / (1 - decay)
             weight *= qv
             x2 *= qv * qv
 

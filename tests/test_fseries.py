@@ -181,7 +181,7 @@ class TestEvaluatedProducts:
         assert fseries._ddf_at(n, qv) == q_double_factorial(n).eval(qv)
         assert fseries._qsq_factorial_at(n, qv) == q_squared_factorial(n).eval(qv)
 
-    def test_per_q_caches_are_bounded(self):
+    def test_per_q_caches_are_bounded(self, monkeypatch):
         # 40 fresh q values need 1,000 _ddf_at entries at max_c = 24
         for b in range(1009, 1049):
             fj_coefficient(4, QParam(Fraction(b - 1000, b)), 24)
@@ -192,6 +192,19 @@ class TestEvaluatedProducts:
             info = cached.cache_info()
             assert info.maxsize == qgauss.PER_Q_CACHE_SIZE
             assert info.currsize <= info.maxsize
+        # and two 690,741-node sums need 1,381,482 node kernels (a stand-in
+        # kernel of 1 keeps it fast; the memo is emptied of its values after)
+        kernels = []
+        monkeypatch.setattr(qgauss, "kernel_eval_x2", lambda *args: kernels.append(1) or 1.0)
+        memo = qgauss._node_kernels
+        try:
+            for budget in (1 << 20, (1 << 20) + 1):
+                qgauss._node_sum(0, QParam(Fraction(9999, 10000)), TruncationPolicy.floating(budget))
+            assert len(kernels) > qgauss.NODE_KERNEL_DOUBLES
+            assert memo.doubles == sum(map(len, memo.entries.values()))
+            assert memo.doubles <= memo.max_doubles == qgauss.NODE_KERNEL_DOUBLES
+        finally:
+            memo.clear()
 
     def test_series_builds_no_polynomial(self, monkeypatch):
         q_factorial.cache_clear()

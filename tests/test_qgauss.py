@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from qfj.errors import DomainError, TruncationError
-from qfj.qcalc import DEFAULT_POLICY, TruncationPolicy, _magnitude_scan
+from qfj.qcalc import DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, TruncationPolicy, _magnitude_scan
 from qfj import qgauss
 from qfj.qcore import QParam, QScalar, q_bracket, q_double_factorial, q_squared_factorial
 from qfj.qgauss import (
@@ -47,6 +47,24 @@ def node_by_node_exact(n: int, q: QParam, M: int) -> Fraction:
         weight *= qv
         x2 *= qv * qv
     return total
+
+
+def node_by_node_float(n: int, q: QParam, trunc: TruncationPolicy):
+    """The literal float node sum: one kernel_eval_x2 per node at x_m^2 =
+    q^(2m) nu^2, stopped where _bounded_node_sum stops (budget-limited sums
+    are taken where its guard passes). Reference for _node_sum, which reads
+    each node's kernel from its per-(q, budget) memo."""
+    qv = q.as_float
+    decay = qv ** (2 * n + 1)
+    total, weight, x2 = 0.0, 1, 1 / (1 - qv)
+    for m in range(trunc.max_terms):
+        envelope = weight * x2 ** n
+        total += envelope * kernel_eval_x2(x2, q, trunc)
+        if m >= 2 and envelope * decay / (1 - decay) <= FLOAT_TAIL_TOLERANCE * abs(total):
+            return total, m + 1
+        weight *= qv
+        x2 *= qv * qv
+    return total, trunc.max_terms
 
 
 def interchanged_terms(qv):
@@ -181,6 +199,7 @@ class TestNormalization:
 
     def test_hopeless_node_sum_is_refused_before_any_kernel(self, monkeypatch):
         # 0.999^2048 = 0.13: no 2048-node sum can reach a 1e-11 tail
+        qgauss._node_kernels.clear()
         calls = []
         monkeypatch.setattr(qgauss, "kernel_eval_x2",
                             lambda *args: calls.append(args) or 1.0)
@@ -189,6 +208,7 @@ class TestNormalization:
             c_of_q(QParam(Fraction(999, 1000)), TruncationPolicy.floating(2048),
                    "double_sum")
         assert calls == []
+        assert qgauss._node_kernels.entries == {}
 
     def test_classical_limit_approaches_sqrt_two_pi(self):
         gap_9 = abs(c_of_q(QParam(Fraction(9, 10)), DEFAULT_POLICY).float_value
@@ -270,12 +290,65 @@ class TestFloatNodeSum:
     @pytest.mark.parametrize("qv, n", [(Fraction(1, 2), 0), (Fraction(5, 6), 2),
                                        (Fraction(140, 141), 5)])
     def test_kernel_is_evaluated_at_every_node(self, monkeypatch, qv, n):
+        qgauss._node_kernels.clear()
         calls = []
         original = qgauss.kernel_eval_x2
         monkeypatch.setattr(qgauss, "kernel_eval_x2",
                             lambda *args: calls.append(args) or original(*args))
         _, used = qgauss._node_sum(n, QParam(qv), TruncationPolicy.floating(4096))
         assert len(calls) == used > 2
+
+
+class TestNodeKernelMemo:
+    def test_each_node_kernel_is_evaluated_once(self, monkeypatch):
+        qgauss._node_kernels.clear()
+        calls = []
+        original = qgauss.kernel_eval_x2
+        monkeypatch.setattr(qgauss, "kernel_eval_x2",
+                            lambda *args: calls.append(args) or original(*args))
+        q, trunc = QParam(Fraction(140, 141)), TruncationPolicy.floating(4512)
+        for k in range(11):
+            moment_by_integration(k, q, trunc)
+        assert 0 < len(calls) <= 4512     # 14,307 when every sum evaluates its own
+        calls.clear()
+        c_of_q(q, trunc, "double_sum")
+        assert calls == []
+
+    def test_memoized_sums_are_the_node_by_node_floats(self):
+        qgauss._node_kernels.clear()
+        for qv in (Fraction(1, 2), Fraction(5, 6), Fraction(140, 141)):
+            q = QParam(qv)
+            for n in (5, 2, 1, 0):      # n = 5 stops first, so n < 5 grow its entry
+                got = qgauss._node_sum(n, q, TruncationPolicy.floating(4512))
+                want = node_by_node_float(n, q, TruncationPolicy.floating(4512))
+                assert (got[0].hex(), got[1]) == (want[0].hex(), want[1]), (qv, n)
+
+    def test_budgets_keep_their_own_kernels(self):
+        # at 140/141 the outer node's kernel takes the mp fallback at 4512 and
+        # the reciprocal route at 8192, so the two entries differ there
+        q = QParam(Fraction(140, 141))
+        qgauss._node_kernels.clear()
+        warm = {budget: [qgauss._node_sum(n, q, TruncationPolicy.floating(budget))[0].hex()
+                         for n in (2, 0)] for budget in (4512, 8192)}
+        outer = {budget: qgauss._node_kernels.entry(q, budget)[0] for budget in warm}
+        for budget in warm:
+            trunc = TruncationPolicy.floating(budget)
+            assert outer[budget] == kernel_eval_x2(1 / (1 - q.as_float), q, trunc)
+            qgauss._node_kernels.clear()
+            cold = [qgauss._node_sum(n, q, trunc)[0].hex() for n in (2, 0)]
+            assert warm[budget] == cold, budget
+        assert outer[4512] != outer[8192]
+
+    def test_bound_evicts_the_oldest_then_stops_growing(self):
+        memo = qgauss._NodeKernels(4)
+        first, second = memo.entry(Q_HALF, 8), memo.entry(Q_HALF, 9)
+        for kernel in (0.5, 0.25):
+            assert memo.store(first, kernel) == kernel
+        for kernel in (0.125, 0.0625, 0.03125, 0.015625):
+            assert memo.store(second, kernel) == kernel
+        assert list(memo.entries.values()) == [second]
+        assert memo.store(second, 0.0078125) == 0.0078125   # computed, not stored
+        assert (second.tolist(), memo.doubles) == ([0.125, 0.0625, 0.03125, 0.015625], 4)
 
 
 class TestExactSums:
@@ -323,6 +396,7 @@ class TestExactSums:
                             lambda *args: calls.append(args) or original(*args))
         moment_by_integration(4, Q_HALF, TruncationPolicy.exact(32))
         assert calls == []
+        qgauss._node_kernels.clear()
         moment_by_integration(4, Q_HALF, DEFAULT_POLICY)
         assert calls
 
