@@ -16,10 +16,11 @@ from functools import lru_cache
 from typing import Mapping
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from .errors import DomainError, EvaluationError, TruncationError
 from .qcalc import (DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, TruncationPolicy, E_q,
-                    _entire_log_terms, _entire_sum, _magnitude_scan, _needs)
+                    _entire_log_terms, _magnitude_scan, _needs)
 from .qcore import QParam, QScalar, as_fraction, binomial
 from .qgauss import PER_Q_CACHE_SIZE, _bounded_node_sum, _interchanged_c_mp, c_of_q
 
@@ -361,6 +362,43 @@ def _fj_quadrature(integrand, g, q: QParam, qn, nu, budget: int, tol):
     return scale * plus + scale * minus
 
 
+def _entire_sum_fixed(x: int, p: int, bits: int, max_terms: int, scale: int):
+    """(sum, terms used) of E_p(x) = sum_n p^(n(n-1)/2) x^n / [n]_p! in fixed
+    point: x, p and the returned sum are ints scaled by 2^bits. The terms are
+    stepped forward, t_n = t_(n-1) x p^(n-1)/[n]_p, with p^(n-1) and [n]_p
+    themselves fixed-point ints. The stop rule is _entire_sum's in ints: a
+    term n >= 1 with |t_n| scale <= max(|sum|, 1) ends the sum, at most
+    max_terms are summed.
+
+    Error. Each step floors twice, by at most 2^-bits each; the fixed-point
+    p^n is off by at most 2/(1-p) units of 2^-bits, and [n]_p, a running sum
+    of them, by at most 2n/(1-p). A forward recurrence carries an error made
+    at step n into each later term in the ratio of that term to t_n, so no
+    error grows past the scale of the terms' peak, 10^peak. bits is the
+    working precision, dps + 30 digits past the peak, plus guard bits: the
+    bit length of the budget for the steps and 32 for the 1/(1-p) factors.
+    So the 30 digits past the peak still hold; at the outer nodes of
+    q = 1/2 to 499/500 the sum is within 10^-(dps+41) of the mpf loop run
+    40 digits finer, against 10^-(dps+30) to 10^-(dps+32) without the guard.
+
+    Only the mp fj_numeric integrand sums this way. _E_q_float_fallback
+    keeps the mpf _entire_sum on purpose: its float result sits at a 1e-45
+    absolute noise floor, and a fixed-point sum there moves float bits
+    (E_q(-98.7, 140/141) at 512 terms: 1.33e-45 becomes 1.05e-46) that
+    feed the memoized node kernels.
+    """
+    one = 1 << bits
+    total, term, power, bracket = 0, one, one, 0     # power is p^n
+    for n in range(max_terms):
+        total += term
+        if n and abs(term) * scale <= max(abs(total), one):
+            return total, n + 1
+        bracket += power          # [n+1]_p
+        term = (term * x >> bits) * power // bracket
+        power = power * p >> bits
+    return total, max_terms
+
+
 def _fj_numeric_mp(g, q: QParam, trunc: TruncationPolicy, dps: int):
     """I(g) by the quadrature to a tail of 10^-(dps+20); float64 cannot
     resolve the g^6-scale gap to the order-4 series. The alternating terms of
@@ -369,6 +407,8 @@ def _fj_numeric_mp(g, q: QParam, trunc: TruncationPolicy, dps: int):
     sets the working precision, dps + 30 digits past their peak; a budget too
     short for them to fall below the integrand cutoff 10^-(dps+25) raises at
     the first integrand, so a budget the quadrature refuses keeps its message.
+    Each integrand is summed in fixed point by _entire_sum_fixed, at the
+    working precision plus guard bits.
     """
     qv, qf, budget = q.value, q.as_float, trunc.max_terms
     c_value, _ = _interchanged_c_mp(qv, budget, extra_dps=dps)
@@ -384,7 +424,9 @@ def _fj_numeric_mp(g, q: QParam, trunc: TruncationPolicy, dps: int):
             gm = mp.mpf(g.numerator) / g.denominator
         else:
             gm = mp.mpf(g)
-        e_cutoff = mp.mpf(10) ** (-(dps + 25))
+        bits = mp.mp.prec + 32 + budget.bit_length()
+        p_fixed = (qv.numerator ** 2 << bits) // qv.denominator ** 2     # q^2
+        scale = 10 ** (dps + 25)
         even, odd = -q_sq / bracket2, gm / fact3        # u(x) = x^2 (even + odd x)
 
         def integrand(x):
@@ -392,7 +434,8 @@ def _fj_numeric_mp(g, q: QParam, trunc: TruncationPolicy, dps: int):
                 raise TruncationError(
                     f"I(g) integrand at g={float(g)!r}, q={q} needs {_needs(needed)} terms "
                     f"to reach 1e-{dps + 25} at x = nu, budget is {budget}; raise max_terms")
-            return _entire_sum(x * x * (even + odd * x), q_sq, q_sq, budget, e_cutoff, 1)
+            u = to_fixed((x * x * (even + odd * x))._mpf_, bits)
+            return mp.mpf((_entire_sum_fixed(u, p_fixed, bits, budget, scale)[0], -bits))
 
         node_cutoff = mp.mpf(10) ** (-(dps + 20))
         integral = _fj_quadrature(integrand, gm, q, qm, nu_m, budget, node_cutoff)

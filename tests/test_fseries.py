@@ -6,6 +6,7 @@ import re
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import dps_to_prec, to_fixed
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -40,6 +41,43 @@ q_params = st.fractions(min_value=Fraction(1, 8), max_value=Fraction(3, 4),
 # q far from 1, a generic denominator, and q near 1, where cancellation is worst
 PRODUCT_QS = [QParam(Fraction(1, 2)), QParam(Fraction(1, 4)),
               QParam(Fraction(137, 293)), QParam(Fraction(999, 1000))]
+
+
+def entire_mpf_terms(u, p, max_terms: int, cutoff):
+    """(sum, terms used) of E_p(u) = sum_n p^(n(n-1)/2) u^n / [n]_p! by the
+    plain forward mpf loop, the values of qcalc._entire_sum(u, p, p,
+    max_terms, cutoff, 1): a term n >= 1 with |term| <= cutoff max(|sum|, 1)
+    ends it. Reference for fseries._entire_sum_fixed."""
+    total = bracket = u * 0
+    term = power = total + 1      # power is p^n
+    for n in range(max_terms):
+        total += term
+        if n >= 1 and abs(term) <= cutoff * max(abs(total), 1):
+            return total, n + 1
+        bracket += power          # [n+1]_p
+        term = term * power * u / bracket
+        power *= p
+    return total, max_terms
+
+
+class FirstIntegrands(Exception):
+    """Raised by a spy to end a quadrature after the integrands it needs."""
+
+
+def spy_integrands(monkeypatch, count: int):
+    """Wrap fseries._entire_sum_fixed: record (working dps, args, result) of
+    the first `count` integrands, then end the quadrature."""
+    seen = []
+    original = fseries._entire_sum_fixed
+
+    def spy(*args):
+        seen.append((mp.mp.dps, args, original(*args)))
+        if len(seen) == count:
+            raise FirstIntegrands
+        return seen[-1][2]
+
+    monkeypatch.setattr(fseries, "_entire_sum_fixed", spy)
+    return seen
 
 
 class TestPowerSeries1:
@@ -274,7 +312,7 @@ class TestNumericEvaluation:
                                                            budget, dps, tail):
         calls = []
         monkeypatch.setattr(fseries, "E_q", lambda *args: calls.append(args))
-        monkeypatch.setattr(fseries, "_entire_sum", lambda *args: calls.append(args))
+        monkeypatch.setattr(fseries, "_entire_sum_fixed", lambda *args: calls.append(args))
         with pytest.raises(TruncationError,
                            match=re.escape(f"tail bounded by {tail} after {budget} nodes")):
             fj_numeric(g, QParam(qv), TruncationPolicy.floating(budget), dps=dps)
@@ -285,7 +323,7 @@ class TestNumericEvaluation:
         # terms to fall below 1e-85; the 24-term integrand used to be summed
         # short at every node
         calls = []
-        monkeypatch.setattr(fseries, "_entire_sum", lambda *args: calls.append(args))
+        monkeypatch.setattr(fseries, "_entire_sum_fixed", lambda *args: calls.append(args))
         with pytest.raises(TruncationError, match="needs about 29 terms to reach 1e-85 at "
                                                   "x = nu, budget is 24"):
             fj_numeric(Fraction(1), QParam(Fraction(3, 4)), TruncationPolicy.floating(24),
@@ -293,20 +331,12 @@ class TestNumericEvaluation:
         assert calls == []
 
     def test_mp_precision_covers_the_outer_node_term_peak(self, monkeypatch):
-        # at q = 499/500 the terms of E_{q^2}(u) at x = nu peak about 1e96
-        # above the integrand: at a fixed dps + 30 digits the outer nodes were
-        # noise, and fj_numeric(0, 499/500, floating(16384), dps=60) gave 0.99996
-        class FirstIntegrand(Exception):
-            pass
-
-        def record(*args):
-            seen.append(mp.mp.dps)
-            raise FirstIntegrand
-
-        seen = []
-        monkeypatch.setattr(fseries, "_entire_sum", record)
+        # at q = 499/500 the terms of E_{q^2}(u) at x = nu peak about 1e87:
+        # at a fixed dps + 30 digits the outer nodes were noise, and
+        # fj_numeric(0, 499/500, floating(16384), dps=60) gave 0.99996
+        seen = spy_integrands(monkeypatch, 1)
         qv = Fraction(499, 500)
-        with pytest.raises(FirstIntegrand):
+        with pytest.raises(FirstIntegrands):
             fj_numeric(0, QParam(qv), TruncationPolicy.floating(16384), dps=60)
         with mp.workdps(30):
             qm = mp.mpf(499) / 500
@@ -317,7 +347,61 @@ class TestNumericEvaluation:
                 bracket += p ** n
                 term *= x * p ** n / bracket
                 peak = max(peak, term)
-        assert seen == [60 + 30 + int(mp.log10(peak))]
+        digits = 60 + 30 + int(mp.log10(peak))
+        (dps, (_, _, bits, _, _), _), = seen
+        assert dps == digits
+        # the fixed-point loop sums at that precision plus its guard bits
+        assert bits >= dps_to_prec(digits) + 32
+
+    @pytest.mark.parametrize("g, qv, budget", [
+        (Fraction(1, 32), Fraction(1, 2), 64),          # u < 0
+        (Fraction(1, 64), Fraction(16, 17), 544),       # u < 0
+        (Fraction(1, 100), Fraction(99, 100), 4096),    # u < 0
+        (Fraction(1), Fraction(3, 4), 128),             # u > 0 at x = nu
+        (0, Fraction(499, 500), 16384),                 # |u| = U(nu), terms peak ~1e87
+    ])
+    def test_fixed_point_integrand_is_the_mpf_forward_sum(self, monkeypatch, g, qv, budget):
+        # the three outer nodes, where |u| and the term peak are largest,
+        # against the mpf loop run at 40 more digits than the working ones
+        seen = spy_integrands(monkeypatch, 3)
+        with pytest.raises(FirstIntegrands):
+            fj_numeric(g, QParam(qv), TruncationPolicy.floating(budget), dps=60)
+        positive = []
+        for dps, (x, p, bits, max_terms, scale), (total, terms) in seen:
+            assert max_terms == budget and scale == 10 ** 85
+            with mp.workdps(dps + 40):
+                u = mp.mpf((x, -bits))
+                q_sq = (mp.mpf(qv.numerator) / qv.denominator) ** 2
+                want, want_terms = entire_mpf_terms(u, q_sq, max_terms, mp.mpf(10) ** -85)
+                error = abs(mp.mpf((total, -bits)) - want)
+            positive.append(u > 0)
+            assert terms == want_terms
+            # 10^-(dps+25) is what the stop rule needs; the guard bits keep
+            # the loop 10 digits inside it (10^-(dps+30) to 10^-(dps+32)
+            # without them)
+            assert error <= mp.mpf(10) ** -95, (float(u), float(error))
+        assert positive[0] == (g == 1)     # u(nu) > 0 only at g = 1
+
+    @pytest.mark.parametrize("g, qv, budget", [      # the seed-1 benchmark cells
+        (Fraction(1, 32), Fraction(1, 2), 64),
+        (Fraction(1, 64), Fraction(5, 6), 192),
+        (Fraction(1, 64), Fraction(16, 17), 544),
+    ])
+    def test_dps60_value_is_the_mpf_route_value(self, monkeypatch, g, qv, budget):
+        value = fj_numeric(g, QParam(qv), TruncationPolicy.floating(budget), dps=60)
+
+        def mpf_route(x, p, bits, max_terms, scale):
+            # every integrand by the mpf forward loop at the working precision
+            q_sq = (mp.mpf(qv.numerator) / qv.denominator) ** 2
+            total, terms = entire_mpf_terms(mp.mpf((x, -bits)), q_sq, max_terms,
+                                            mp.mpf(10) ** -85)
+            return to_fixed(total._mpf_, bits), terms
+
+        monkeypatch.setattr(fseries, "_entire_sum_fixed", mpf_route)
+        want = fj_numeric(g, QParam(qv), TruncationPolicy.floating(budget), dps=60)
+        with mp.workdps(80):
+            assert mp.nstr(value, 60) == mp.nstr(want, 60)
+            assert abs(value - want) <= mp.mpf(10) ** -80 * abs(want)
 
     def test_guard_raises_where_no_refusal_is_proven(self, monkeypatch):
         # g = 1 lifts u above 0 at the outer nodes, so no |E| <= 1 floor holds
@@ -352,6 +436,16 @@ class TestNumericEvaluation:
         except TruncationError:
             return
         assert abs(value - 1) < 1e-8
+
+    @given(st.fractions(min_value=Fraction(9, 10), max_value=Fraction(99, 100),
+                        max_denominator=1000))
+    @settings(max_examples=5, deadline=None)
+    def test_mp_zero_coupling_near_one_is_one_or_raises(self, qv):
+        try:
+            value = fj_numeric(0, QParam(qv), TruncationPolicy.floating(4096), dps=30)
+        except TruncationError:
+            return
+        assert abs(value - 1) < 1e-11
 
     def test_high_precision_path_agrees_with_float_path(self):
         mp_val = float(fj_numeric(Fraction(1, 20), Q_HALF, dps=40))
