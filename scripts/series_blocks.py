@@ -22,8 +22,8 @@ def show(qv: Fraction, order: int, max_c: int):
     print(f"{'c':>3}  {'block':>14}  {'running total':>16}")
     total = 0.0
     for c, block in enumerate(blocks):
-        total += float(block.rational_part)
-        print(f"{c:>3}  {float(block.rational_part):>14.6e}  {total:>16.12f}")
+        total += float(block)
+        print(f"{c:>3}  {float(block):>14.6e}  {total:>16.12f}")
     print(f"classical limit of the g^2 coefficient: {CLASSICAL:.12f}\n")
 
 

@@ -14,15 +14,16 @@ import csv
 import datetime
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import DomainError, QfjError, TruncationError
+from .errors import DomainError, QfjError, ResourceLimitError, TruncationError
 from .fseries import fj_coefficient, fj_series, fj_term
 from .pairings import enumerate_pairings, weight, weighted_pairing_sum
 from .qcalc import TruncationPolicy
-from .qcore import QParam, QPolynomial, QScalar, q_double_factorial
+from .qcore import QParam, QPolynomial, q_double_factorial
 from .qgauss import c_of_q, moment_by_integration, moment_closed_form
 from .qgraphs import graph_block_value, graph_sum_coefficient
 from .suites import (MOMENT_TOLERANCE, SQRT_TWO_PI, SUITE_NAMES,
@@ -49,18 +50,23 @@ def _record(quantity, inputs, exact_value=None, float_value=None,
 
 
 def _format_exact(value):
-    """Exact values as strings; a surd-carrying scalar becomes a two-field object."""
+    """Exact values as strings. A value whose integers are too long for the
+    interpreter's int-to-str limit raises ResourceLimitError."""
     if value is None:
         return None
-    if isinstance(value, QScalar):
-        if value.surd_exponent:
-            return {"rational": str(value.rational_part), "surd": "sqrt(1-q)"}
-        return str(value.rational_part)
-    if isinstance(value, QPolynomial):
+    if not isinstance(value, (int, Fraction, QPolynomial)):
+        raise TypeError(f"cannot format {value!r} as an exact value")
+    try:
         return str(value)
-    if isinstance(value, (int, Fraction)):
-        return str(value)
-    raise TypeError(f"cannot format {value!r} as an exact value")
+    except ValueError:
+        parts = value.coefficients if isinstance(value, QPolynomial) else (value,)
+        largest = max(max(abs(p.numerator), p.denominator) for p in parts)
+        digits = int(largest.bit_length() * math.log10(2)) + 1     # at most one too many
+        digits -= largest < 10 ** (digits - 1)
+        raise ResourceLimitError(
+            f"an exact value has a {digits}-digit integer, over the interpreter's "
+            f"{sys.get_int_max_str_digits()}-digit limit for printing one; "
+            f"series --float prints float values only") from None
 
 
 def _match_record(quantity, inputs, graph, series):
@@ -168,8 +174,9 @@ def _cq_sweep(args, policy: TruncationPolicy):
 
 
 def _exact_cq_annotation(q: QParam, policy: TruncationPolicy, reference: float):
-    """Smallest exact truncated surd that already matches the full sum at
-    float precision, or None when no compact faithful truncation exists.
+    """Smallest exact truncated c(q) = r sqrt(1-q) that already matches the
+    full sum at float precision, as {"rational": r, "surd": "sqrt(1-q)"}, or
+    None when no compact faithful truncation exists.
 
     The exact partial sums grow quadratically many digits with the term
     count, so unbounded ones are useless as output (and overflow the
@@ -179,14 +186,11 @@ def _exact_cq_annotation(q: QParam, policy: TruncationPolicy, reference: float):
         if terms > policy.max_terms:
             break
         result = c_of_q(q, TruncationPolicy.exact(terms))
-        surd = result.surd_value
         if abs(result.float_value - reference) >= EXACT_CQ_FAITHFUL_REL * reference:
             continue
-        rational = surd.rational_part
-        digits = (rational.numerator.bit_length()
-                  + rational.denominator.bit_length()) * 0.302
-        if digits < 4000:
-            return _format_exact(surd)
+        r = result.surd_value
+        if (r.numerator.bit_length() + r.denominator.bit_length()) * 0.302 < 4000:
+            return {"rational": _format_exact(r), "surd": "sqrt(1-q)"}
         break
     return None
 

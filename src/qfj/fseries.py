@@ -29,17 +29,17 @@ from .qgauss import PER_Q_CACHE_SIZE, _bounded_node_sum, _interchanged_c_mp, c_o
 class PowerSeries1:
     """Truncated univariate power series; coefficients[m] multiplies g^m."""
 
-    coefficients: tuple[QScalar, ...]
+    coefficients: tuple[Fraction, ...]
     truncation_order: int
 
     def __post_init__(self):
         if len(self.coefficients) != self.truncation_order + 1:
             raise DomainError("coefficient count must equal truncation_order + 1")
 
-    def coefficient(self, m: int) -> QScalar:
+    def coefficient(self, m: int) -> Fraction:
         if 0 <= m <= self.truncation_order:
             return self.coefficients[m]
-        return QScalar(Fraction(0))
+        return Fraction(0)
 
     def eval(self, g):
         """Horner evaluation; exact for Fraction/int g, float for float g."""
@@ -49,7 +49,7 @@ class PowerSeries1:
                 acc = acc * g + float(c)
             return acc
         gv = as_fraction(g, "evaluation point")
-        acc = QScalar(Fraction(0))
+        acc = Fraction(0)
         for c in reversed(self.coefficients):
             acc = acc * gv + c
         return acc
@@ -63,7 +63,7 @@ class PowerSeries2:
     monomials beyond the bound are dropped by construction and by products.
     """
 
-    terms: Mapping[tuple[int, int], QScalar]
+    terms: Mapping[tuple[int, int], Fraction]
     truncation: int
 
     def __post_init__(self):
@@ -71,12 +71,12 @@ class PowerSeries2:
                  if value and key[0] + key[1] <= self.truncation}
         object.__setattr__(self, "terms", clean)
 
-    def coefficient(self, i: int, j: int) -> QScalar:
-        return self.terms.get((i, j), QScalar(Fraction(0)))
+    def coefficient(self, i: int, j: int) -> Fraction:
+        return self.terms.get((i, j), Fraction(0))
 
     def __mul__(self, other: "PowerSeries2") -> "PowerSeries2":
         bound = min(self.truncation, other.truncation)
-        out: dict[tuple[int, int], QScalar] = {}
+        out: dict[tuple[int, int], Fraction] = {}
         for (i1, j1), a in self.terms.items():
             for (i2, j2), b in other.terms.items():
                 i, j = i1 + i2, j1 + j2
@@ -92,8 +92,7 @@ class PowerSeries2:
 class LambdaTable:
     """Expansion coefficients lambda_{c,d} on the rectangle c <= max_c, d <= max_d."""
 
-    q: QParam
-    values: Mapping[tuple[int, int], QScalar]
+    values: Mapping[tuple[int, int], Fraction]
     max_c: int
     max_d: int
 
@@ -101,7 +100,7 @@ class LambdaTable:
         if not (0 <= c <= self.max_c and 0 <= d <= self.max_d):
             raise DomainError(f"(c,d)=({c},{d}) outside table bounds "
                               f"({self.max_c},{self.max_d})")
-        return self.values.get((c, d), QScalar(Fraction(0), 0, self.q.value))
+        return QScalar(self.values.get((c, d), 0))
 
 
 def _bracket_product(qv: Fraction, exponents) -> Fraction:
@@ -150,18 +149,18 @@ def lambda_closed_form(c: int, d: int, q: QParam) -> QScalar:
     """
     if c < 0 or d < 0:
         raise DomainError("lambda indices must be non-negative")
-    return QScalar(_lambda_sum(c, d, q.value), 0, q.value)
+    return QScalar(_lambda_sum(c, d, q.value))
 
 
 def _E_two_variable(total_degree: int, q: QParam) -> PowerSeries2:
     """The entire q^2-exponential of x+y as a bivariate series: coefficient of
     x^a y^b is q^(n(n-1)) C(n,a) / [n]_{q^2}! with n = a + b."""
     qv = q.value
-    terms: dict[tuple[int, int], QScalar] = {}
+    terms: dict[tuple[int, int], Fraction] = {}
     for n in range(total_degree + 1):
         base = qv ** (n * (n - 1)) / _qsq_factorial_at(n, qv)
         for a in range(n + 1):
-            terms[(a, n - a)] = QScalar(base * binomial(n, a), 0, qv)
+            terms[(a, n - a)] = base * binomial(n, a)
     return PowerSeries2(terms, total_degree)
 
 
@@ -179,13 +178,12 @@ def lambda_oracle(max_c: int, max_d: int, q: QParam) -> LambdaTable:
     qv = q.value
     numerator = _E_two_variable(degree, q)
     reciprocal = PowerSeries2(
-        {(a, 0): QScalar(Fraction((-1) ** a) / _qsq_factorial_at(a, qv), 0, qv)
-         for a in range(degree + 1)},
+        {(a, 0): (-1) ** a / _qsq_factorial_at(a, qv) for a in range(degree + 1)},
         degree)
     product = numerator * reciprocal
     values = {(c, d): product.coefficient(c, d)
               for c in range(max_c + 1) for d in range(max_d + 1)}
-    return LambdaTable(q, values, max_c, max_d)
+    return LambdaTable(values, max_c, max_d)
 
 
 @lru_cache(maxsize=PER_Q_CACHE_SIZE)
@@ -195,7 +193,7 @@ def _ddf_at(j: int, qv: Fraction) -> Fraction:
     return _bracket_product(qv, range(1, 2 * j, 2))
 
 
-def fj_term(c: int, k: int, d: int, q: QParam) -> QScalar:
+def fj_term(c: int, k: int, d: int, q: QParam) -> Fraction:
     """Single (c,k) summand of the g^(2d) series coefficient.
 
     (-1)^k C(2d+k,k) q^((2d+k)(2d+k-1)+2c) [2(c+3d)-1]!!_q
@@ -210,7 +208,7 @@ def fj_term(c: int, k: int, d: int, q: QParam) -> QScalar:
                  * _ddf_at(c + 3 * d, qv))
     denominator = (bracket2 ** c * fact3 ** (2 * d)
                    * _qsq_factorial_at(2 * d + k, qv) * _qsq_factorial_at(c - k, qv))
-    return QScalar(numerator / denominator, 0, qv)
+    return numerator / denominator
 
 
 def fj_blocks(m: int, q: QParam, max_c: int) -> tuple[QScalar, ...]:
@@ -236,7 +234,7 @@ def fj_blocks(m: int, q: QParam, max_c: int) -> tuple[QScalar, ...]:
             ratio = (Fraction(-(n + 1), k + 1) * qv ** (2 * n)
                      * (1 - q_sq ** (c - k)) / (1 - q_sq ** (n + 1)))
             nested = 1 + ratio * nested
-        out.append(QScalar(fj_term(c, 0, d, q).rational_part * nested, 0, qv))
+        out.append(QScalar(fj_term(c, 0, d, q) * nested))
     return tuple(out)
 
 
@@ -248,12 +246,7 @@ def fj_coefficient(m: int, q: QParam, max_c: int = 12) -> QScalar:
     """
     if m < 0:
         raise DomainError(f"series index must be non-negative, got {m}")
-    if m % 2 == 1:
-        return QScalar(Fraction(0), 0, q.value)
-    total = QScalar(Fraction(0), 0, q.value)
-    for block in fj_blocks(m, q, max_c):
-        total = total + block
-    return total
+    return QScalar(0 if m % 2 else sum(fj_blocks(m, q, max_c)))
 
 
 def fj_series(order: int, q: QParam, max_c: int = 12) -> PowerSeries1:
@@ -278,12 +271,8 @@ def integrand_expansion(order_g: int, order_x: int, q: QParam) -> PowerSeries2:
         raise DomainError("expansion orders must be non-negative")
     qv = q.value
     brackets = _low_brackets(qv)
-    terms: dict[tuple[int, int], QScalar] = {}
-    for d in range(order_g + 1):
-        for c in range((order_x - 3 * d) // 2 + 1):
-            acc = _expansion_coefficient(c, d, qv, *brackets)
-            if acc:
-                terms[(2 * c + 3 * d, d)] = QScalar(acc, 0, qv)
+    terms = {(2 * c + 3 * d, d): _expansion_coefficient(c, d, qv, *brackets)
+             for d in range(order_g + 1) for c in range((order_x - 3 * d) // 2 + 1)}
     return PowerSeries2(terms, order_x + order_g)
 
 
@@ -306,7 +295,7 @@ def fj_coefficient_via_moments(m: int, q: QParam, max_c: int = 12) -> QScalar:
         raise DomainError(f"series index must be non-negative, got {m}")
     qv = q.value
     if m % 2 == 1:
-        return QScalar(Fraction(0), 0, qv)
+        return QScalar(0)
     # only the g^m row of integrand_expansion(m, 2 max_c + 3m, q) contributes;
     # its x-powers 2c + 3m (c <= max_c) are all even
     brackets = _low_brackets(qv)
@@ -314,7 +303,7 @@ def fj_coefficient_via_moments(m: int, q: QParam, max_c: int = 12) -> QScalar:
     for c in range(max_c + 1):
         total += (_expansion_coefficient(c, m, qv, *brackets)
                   * _ddf_at(c + 3 * m // 2, qv))
-    return QScalar(total, 0, qv)
+    return QScalar(total)
 
 
 def _fj_quadrature(integrand, g, q: QParam, qn, nu, budget: int, tol):

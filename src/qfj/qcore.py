@@ -56,86 +56,25 @@ class QParam:
         return str(self.value)
 
 
-@dataclass(frozen=True, eq=False)
-class QScalar:
-    """Exact rational value, optionally carrying one factor of sqrt(1-q).
+class QScalar(Fraction):
+    """A Fraction that also answers .rational_part, the value itself.
 
-    surd_exponent is 0 or 1; a surd-carrying scalar records its q. Only the
-    normalization constant c(q) = r*sqrt(1-q) carries the surd, and it is
-    read and printed, never combined: + and * take rational operands only
-    and refuse a surd-carrying one.
+    Only the exact results that perfbench reads through .rational_part are
+    QScalars; every other exact value is a plain Fraction, and so is the
+    result of any arithmetic on a QScalar.
     """
 
-    rational_part: Fraction
-    surd_exponent: int = 0
-    q: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "rational_part", as_fraction(self.rational_part, "rational_part"))
-        if self.surd_exponent not in (0, 1):
-            raise DomainError(f"surd_exponent must be 0 or 1, got {self.surd_exponent}")
-        if self.q is not None:
-            qv = as_fraction(self.q, "q")
-            if not (0 < qv < 1):
-                raise DomainError(f"q must satisfy 0 < q < 1, got {qv}")
-            object.__setattr__(self, "q", qv)
-        if self.surd_exponent == 1 and self.q is None:
-            raise DomainError("a surd-carrying scalar must record its q")
+    def __new__(cls, numerator=0, denominator=None):
+        # Fraction's own signature: copy, deepcopy and pickle rebuild through it
+        if denominator is None:
+            numerator = as_fraction(numerator, "scalar")
+        return super().__new__(cls, numerator, denominator)
 
-    def _rational_operand(self, other) -> tuple[Fraction, Fraction | None]:
-        """other's rational part and the q the two operands share."""
-        if not isinstance(other, QScalar):
-            other = QScalar(as_fraction(other, "operand"))
-        if self.surd_exponent or other.surd_exponent:
-            raise DomainError("scalars carrying sqrt(1-q) cannot be added or multiplied")
-        if self.q is None or other.q is None or other.q == self.q:
-            return other.rational_part, self.q if self.q is not None else other.q
-        raise DomainError(f"cannot combine scalars with different q ({self.q} vs {other.q})")
-
-    def __add__(self, other):
-        rational, q = self._rational_operand(other)
-        return QScalar(self.rational_part + rational, 0, q)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        rational, q = self._rational_operand(other)
-        return QScalar(self.rational_part * rational, 0, q)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.surd_exponent == 0 and self.rational_part == other
-        if isinstance(other, QScalar):
-            if self.surd_exponent != other.surd_exponent:
-                # zero compares equal regardless of its surd tag
-                return self.rational_part == 0 and other.rational_part == 0
-            if self.surd_exponent == 0:
-                return self.rational_part == other.rational_part
-            return self.rational_part == other.rational_part and self.q == other.q
-        return NotImplemented
-
-    def __hash__(self):
-        if self.surd_exponent == 0 or self.rational_part == 0:
-            return hash(self.rational_part)
-        return hash((self.rational_part, self.surd_exponent, self.q))
-
-    def __bool__(self):
-        return self.rational_part != 0
-
-    def __float__(self):
-        if self.surd_exponent == 0:
-            return float(self.rational_part)
-        return float(self.rational_part) * math.sqrt(1 - float(self.q))
-
-    def __str__(self):
-        if self.surd_exponent == 0:
-            return str(self.rational_part)
-        return f"{self.rational_part}*sqrt(1-q)"
-
-    def __repr__(self):
-        return f"QScalar({self})"
+    @property
+    def rational_part(self) -> Fraction:
+        return self
 
 
 @dataclass(frozen=True, eq=False)

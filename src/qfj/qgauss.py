@@ -57,8 +57,8 @@ def kernel_eval(x, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY):
 class NormalizationResult:
     """c(q) in the form r * sqrt(1-q).
 
-    surd_value holds the exact rational r (with its surd tag) in exact mode
-    and is None in float mode, where only float_value is meaningful.
+    surd_value holds the exact rational r in exact mode and is None in float
+    mode, where only float_value is meaningful.
     """
 
     surd_value: QScalar | None
@@ -288,8 +288,8 @@ def c_of_q(q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY,
         value, used = _interchanged_c_mp(qv, trunc.max_terms)
         return NormalizationResult(None, float(value), method, used)
     if trunc.is_exact:
-        surd = QScalar(2 * total, 1, qv)
-        return NormalizationResult(surd, float(surd), method, used)
+        r = QScalar(2 * total)
+        return NormalizationResult(r, float(r) * math.sqrt(1 - q.as_float), method, used)
     return NormalizationResult(None, 2.0 * math.sqrt(1.0 - q.as_float) * total, method, used)
 
 
@@ -319,5 +319,5 @@ def moment_by_integration(k: int, q: QParam,
     c = c_of_q(q, trunc, "interchanged_sum")
     if trunc.is_exact:
         # integral = 2 sqrt(1-q) * total, c(q) = r sqrt(1-q): surds cancel
-        return 2 * total / c.surd_value.rational_part
+        return 2 * total / c.surd_value
     return 2.0 * math.sqrt(1.0 - q.as_float) * total / c.float_value

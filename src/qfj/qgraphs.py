@@ -106,7 +106,7 @@ def a_q(graph: GraphEncoding) -> QPolynomial:
             * q_squared_factorial(graph.c - graph.k))
 
 
-def graph_block_value(c: int, dprime: int, k: int, q: QParam) -> QScalar:
+def graph_block_value(c: int, dprime: int, k: int, q: QParam) -> Fraction:
     """Sum of omega_q/a_q over the whole (c, dprime, k) block, exactly.
 
     The pairing sum enters through the enumerated weight-exponent histogram,
@@ -126,7 +126,7 @@ def graph_block_value(c: int, dprime: int, k: int, q: QParam) -> QScalar:
                    * q_squared_factorial(c - k).eval(qv))
     numerator = (Fraction((-1) ** k * binomial(slots, k))
                  * qv ** shift * pairing_sum)
-    return QScalar(numerator / denominator, 0, qv)
+    return numerator / denominator
 
 
 def graph_sum_coefficient(m: int, q: QParam, max_c: int = 4) -> QScalar:
@@ -142,8 +142,5 @@ def graph_sum_coefficient(m: int, q: QParam, max_c: int = 4) -> QScalar:
             f"g^{m} has no graphs: 2c+3m is odd, so the flags cannot be paired")
     if max_c < 0:
         raise DomainError("max_c must be non-negative")
-    total = QScalar(Fraction(0), 0, q.value)
-    for c in range(max_c + 1):
-        for k in range(c + 1):
-            total = total + graph_block_value(c, m, k, q)
-    return total
+    return QScalar(sum(graph_block_value(c, m, k, q)
+                       for c in range(max_c + 1) for k in range(c + 1)))

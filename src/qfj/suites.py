@@ -277,10 +277,10 @@ def g6_scaling(q: QParam, trunc: TruncationPolicy) -> CheckResult:
     gs, errs, bounds = (Fraction(1, 10), Fraction(1, 20), Fraction(1, 40)), [], []
     with mp.workdps(dps):
         for g in gs:
-            exact = sum(sum(b.rational_part for b in row) * g ** m for m, row in rows.items())
+            exact = sum(sum(row) * g ** m for m, row in rows.items())
             target = mp.mpf(exact.numerator) / exact.denominator
             errs.append(abs(fj_numeric(g, q, trunc, dps=dps) - target))
-            bounds.append(float(sum(abs(row[-1].rational_part) * g ** m
+            bounds.append(float(sum(abs(row[-1]) * g ** m
                                     for m, row in rows.items()) * q_sq / (1 - q_sq)))
         ratios = [errs[0] / errs[1], errs[1] / errs[2]]
         detail = (f"residual ratios under g -> g/2: "
@@ -294,8 +294,7 @@ def g6_scaling(q: QParam, trunc: TruncationPolicy) -> CheckResult:
 
 def g0_block_cancellation(q: QParam, trunc: TruncationPolicy) -> CheckResult:
     ok = graph_block_value(0, 0, 0, q) == 1 and all(
-        sum((graph_block_value(c, 0, k, q) for k in range(c + 1)),
-            start=graph_block_value(0, 0, 0, q) * 0) == 0
+        sum(graph_block_value(c, 0, k, q) for k in range(c + 1)) == 0
         for c in (1, 2))
     return CheckResult("g0-block-cancellation", ok,
                        "kernel-only rows cancel: c=0 gives 1, c=1,2 give 0")

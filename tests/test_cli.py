@@ -6,8 +6,13 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+
+from qfj.cli import _format_exact
+from qfj.errors import ResourceLimitError
+from qfj.qcore import QPolynomial
 
 
 def run_cli(*args, expect=0):
@@ -145,6 +150,27 @@ class TestSeriesCommand:
         # coefficient, so the finite-difference probe must disagree
         run_cli("series", "--check", "numeric", "--max-c", "0",
                 "--reproducible", expect=1)
+
+    def test_value_past_the_int_str_limit_is_a_usage_error(self):
+        # the g^2 coefficient at 99/100, max_c 40 has a 5,515-digit
+        # denominator, over the interpreter's default limit of 4,300 digits
+        args = ("series", "--q", "99/100", "--order", "2", "--max-c", "40", "--reproducible")
+        proc = run_cli(*args, expect=2)
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("qfj: error: ") and proc.stderr.count("\n") == 1
+        assert "5515-digit integer" in proc.stderr and "--float" in proc.stderr
+        run_cli(*args, "--float")
+
+
+def test_format_exact_refuses_integers_past_the_str_limit():
+    # moments reach it too (k = 100 at 99/100), through the same function
+    limit = sys.get_int_max_str_digits()
+    assert _format_exact(Fraction(10 ** limit - 1, 7)).endswith("/7")
+    for value, digits in ((Fraction(10 ** limit, 7), limit + 1),
+                          (Fraction(3, 10 ** (limit + 4) - 1), limit + 4),
+                          (QPolynomial((Fraction(1), Fraction(-(10 ** limit)))), limit + 1)):
+        with pytest.raises(ResourceLimitError, match=f" {digits}-digit integer"):
+            _format_exact(value)
 
 
 # stdout sha256 of the two commands the bitmask memo of

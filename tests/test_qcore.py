@@ -1,6 +1,7 @@
 """Exact scalar and polynomial arithmetic in the deformation parameter."""
 
-import operator
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,9 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from qfj.errors import DomainError, ValidationError
+from qfj.fseries import (fj_blocks, fj_coefficient, fj_coefficient_via_moments, fj_series,
+                         fj_term, integrand_expansion, lambda_closed_form, lambda_oracle)
+from qfj.qcalc import TruncationPolicy
 from qfj.qcore import (
     QParam,
     QPolynomial,
@@ -19,8 +23,28 @@ from qfj.qcore import (
     q_factorial,
     q_squared_factorial,
 )
+from qfj.qgauss import c_of_q, moment_by_integration
+from qfj.qgraphs import graph_block_value, graph_sum_coefficient
 
 HALF = Fraction(1, 2)
+
+SITE_Q = QParam(Fraction(1, 3))
+SITE_EXACT = TruncationPolicy.exact(16)
+# every function whose exact result answers .rational_part
+RATIONAL_PART_SITES = {
+    "fj_coefficient": lambda: [fj_coefficient(m, SITE_Q, 4) for m in (2, 3)],
+    "fj_coefficient_via_moments": lambda: [fj_coefficient_via_moments(m, SITE_Q, 4)
+                                           for m in (2, 3)],
+    "graph_sum_coefficient": lambda: [graph_sum_coefficient(2, SITE_Q, 2)],
+    "lambda_closed_form": lambda: [lambda_closed_form(2, 1, SITE_Q),
+                                   lambda_closed_form(1, 0, SITE_Q)],
+    "fj_series": lambda: list(fj_series(4, SITE_Q, 4).coefficients),
+    "lambda_oracle": lambda: [lambda_oracle(2, 2, SITE_Q).lam(c, d)
+                              for c in range(3) for d in range(3)],
+    "fj_blocks": lambda: list(fj_blocks(2, SITE_Q, 4)),
+    "c_of_q": lambda: [c_of_q(SITE_Q, SITE_EXACT, method).surd_value
+                       for method in ("interchanged_sum", "double_sum")],
+}
 
 q_values = st.fractions(min_value=Fraction(1, 16), max_value=Fraction(15, 16),
                         max_denominator=32)
@@ -59,38 +83,48 @@ def test_qparam_cached_values_leave_identity_alone():
 
 
 class TestQScalar:
-    def test_addition_same_surd(self):
-        # c(q) = r sqrt(1-q) is read and printed, never combined
-        a = QScalar(Fraction(3, 4), 1, HALF)
+    """QScalar is a Fraction whose one addition is .rational_part; exact
+    values are plain Fractions except at the sites that return it."""
+
+    def test_is_a_slotted_fraction_that_answers_rational_part(self):
+        x = QScalar(3, 4)
+        assert isinstance(x, Fraction) and x == Fraction(3, 4)
+        assert x.rational_part == x and hash(x) == hash(Fraction(3, 4))
+        assert QScalar(Fraction(3, 4)) == QScalar("3/4") == x
+        assert not hasattr(x, "__dict__")
+
+    @pytest.mark.parametrize("rebuild", [
+        copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_equal_qscalars(self, rebuild):
+        # Fraction rebuilds a subclass through cls(numerator, denominator)
+        for value in (QScalar(3, 4), QScalar(-7), QScalar(0)):
+            got = rebuild(value)
+            assert type(got) is QScalar and got == value and got.rational_part == value
+
+    def test_float_is_refused(self):
         with pytest.raises(DomainError):
-            a + QScalar(Fraction(1, 4), 1, HALF)
+            QScalar(0.5)
 
-    def test_addition_mixed_surds_rejected(self):
-        a = QScalar(Fraction(1), 0)
-        b = QScalar(Fraction(1), 1, HALF)
-        with pytest.raises(DomainError):
-            a + b
+    def test_arithmetic_returns_plain_fractions(self):
+        a, b = QScalar(3, 4), QScalar(1, 4)
+        for value in (a + b, a * b, a - b, a / b, -a, 1 + a, a * 2, sum([a, b])):
+            assert type(value) is Fraction
 
-    def test_surd_operands_are_refused(self):
-        surd = QScalar(Fraction(3, 4), 1, HALF)
-        with pytest.raises(DomainError):
-            surd * surd
-        for other in (QScalar(Fraction(0), 0), Fraction(0), 1):
-            for combine in (operator.add, operator.mul):
-                with pytest.raises(DomainError):
-                    combine(surd, other)
-                with pytest.raises(DomainError):
-                    combine(other, surd)
+    @pytest.mark.parametrize("site", sorted(RATIONAL_PART_SITES))
+    def test_read_sites_return_qscalar(self, site):
+        values = RATIONAL_PART_SITES[site]()
+        for value in values:
+            assert type(value) is QScalar and value.rational_part == value
+        assert type(sum(values)) is Fraction
 
-    def test_float_and_str(self):
-        a = QScalar(Fraction(3, 4), 1, HALF)
-        assert str(a) == "3/4*sqrt(1-q)"
-        assert float(a) == pytest.approx(0.75 * 0.5 ** 0.5)
-        assert str(QScalar(Fraction(2), 0)) == "2"
-
-    def test_zero_equality_across_tags(self):
-        assert QScalar(Fraction(0), 1, HALF) == QScalar(Fraction(0), 0)
-        assert not QScalar(Fraction(0), 1, HALF)
+    def test_other_exact_values_are_plain_fractions(self):
+        values = [fj_term(2, 1, 1, SITE_Q), graph_block_value(2, 2, 1, SITE_Q),
+                  fj_series(4, SITE_Q, 4).eval(Fraction(1, 10)),
+                  moment_by_integration(4, SITE_Q, SITE_EXACT),
+                  *integrand_expansion(2, 6, SITE_Q).terms.values(),
+                  *lambda_oracle(2, 2, SITE_Q).values.values()]     # a PowerSeries2 product
+        assert all(type(value) is Fraction for value in values)
 
 
 class TestQPolynomial:

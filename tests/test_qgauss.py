@@ -165,10 +165,12 @@ class TestNormalization:
             2.321619031711791, rel=1e-14)
 
     def test_exact_mode_returns_surd(self):
+        # c(q) = r sqrt(1-q): surd_value is r, float_value is c(q) from r's float
         r = c_of_q(Q_HALF, TruncationPolicy.exact(48))
         assert isinstance(r.surd_value, QScalar)
-        assert r.surd_value.surd_exponent == 1
-        assert float(r.surd_value) == pytest.approx(r.float_value, rel=1e-13)
+        want = float(r.surd_value) * math.sqrt(1 - float(Q_HALF.value))
+        assert r.float_value.hex() == want.hex()
+        assert r.float_value == pytest.approx(c_of_q(Q_HALF).float_value, rel=1e-13)
 
     def test_float_mode_has_no_surd(self):
         assert c_of_q(Q_HALF, DEFAULT_POLICY).surd_value is None
