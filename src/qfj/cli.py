@@ -20,11 +20,11 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import DomainError, QfjError, ResourceLimitError, TruncationError
-from .fseries import fj_coefficient, fj_series, fj_term
+from .fseries import _ddf_at, fj_coefficient, fj_series, fj_term
 from .pairings import enumerate_pairings, weight, weighted_pairing_sum
 from .qcalc import TruncationPolicy
 from .qcore import QParam, QPolynomial, q_double_factorial
-from .qgauss import c_of_q, moment_by_integration, moment_closed_form
+from .qgauss import c_of_q, moment_by_integration
 from .qgraphs import graph_block_value, graph_sum_coefficient
 from .suites import (MOMENT_TOLERANCE, SQRT_TWO_PI, SUITE_NAMES,
                      g2_by_finite_difference, run_suite)
@@ -49,9 +49,10 @@ def _record(quantity, inputs, exact_value=None, float_value=None,
     }
 
 
-def _format_exact(value):
+def _format_exact(value, hint=None):
     """Exact values as strings. A value whose integers are too long for the
-    interpreter's int-to-str limit raises ResourceLimitError."""
+    interpreter's int-to-str limit raises ResourceLimitError, ending in
+    `hint` when one is given."""
     if value is None:
         return None
     if not isinstance(value, (int, Fraction, QPolynomial)):
@@ -65,8 +66,8 @@ def _format_exact(value):
         digits -= largest < 10 ** (digits - 1)
         raise ResourceLimitError(
             f"an exact value has a {digits}-digit integer, over the interpreter's "
-            f"{sys.get_int_max_str_digits()}-digit limit for printing one; "
-            f"series --float prints float values only") from None
+            f"{sys.get_int_max_str_digits()}-digit limit for printing one"
+            + (f"; {hint}" if hint else "")) from None
 
 
 def _match_record(quantity, inputs, graph, series):
@@ -132,7 +133,7 @@ def _cmd_moments(args, q: QParam, policy: TruncationPolicy):
     records = []
     worst = 0.0
     for k in range(args.max_k + 1):
-        closed = moment_closed_form(k // 2).eval(q.value) if k % 2 == 0 else Fraction(0)
+        closed = _ddf_at(k // 2, q.value) if k % 2 == 0 else Fraction(0)
         quad = moment_by_integration(k, q, policy)
         residual = abs(quad - float(closed))
         worst = max(worst, residual)
@@ -262,7 +263,8 @@ def _cmd_series(args, q: QParam, policy: TruncationPolicy):
         records.append(_record(
             "series_coefficient",
             {"m": m, "q": str(q), "max_c": args.max_c},
-            exact_value=None if args.float else _format_exact(coefficient),
+            exact_value=None if args.float else _format_exact(
+                coefficient, "series --float prints float values only"),
             float_value=float(coefficient),
         ))
     code = 0

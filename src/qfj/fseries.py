@@ -15,9 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-import mpmath as mp
-from mpmath.libmp import to_fixed
-
 from .errors import DomainError, EvaluationError, TruncationError
 from .qcalc import (DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, TruncationPolicy, E_q,
                     _entire_log_terms, _magnitude_scan, _needs)
@@ -399,6 +396,9 @@ def _fj_numeric_mp(g, q: QParam, trunc: TruncationPolicy, dps: int):
     Each integrand is summed in fixed point by _entire_sum_fixed, at the
     working precision plus guard bits.
     """
+    import mpmath as mp
+    from mpmath.libmp import to_fixed
+
     qv, qf, budget = q.value, q.as_float, trunc.max_terms
     c_value, _ = _interchanged_c_mp(qv, budget, extra_dps=dps)
     bracket2, fact3 = _low_brackets(qf)
@@ -428,7 +428,7 @@ def _fj_numeric_mp(g, q: QParam, trunc: TruncationPolicy, dps: int):
 
         node_cutoff = mp.mpf(10) ** (-(dps + 20))
         integral = _fj_quadrature(integrand, gm, q, qm, nu_m, budget, node_cutoff)
-        return integral / c_value
+        return integral * c_value.denominator / c_value.numerator
 
 
 def fj_numeric(g, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY,

@@ -19,8 +19,6 @@ from fractions import Fraction
 from itertools import count, islice
 from typing import Callable, Union
 
-import mpmath as mp
-
 from .errors import DivergenceError, DomainError, EvaluationError, TruncationError
 from .qcore import QParam, QPolynomial, as_fraction
 
@@ -275,6 +273,8 @@ def _E_q_float_fallback(x: float, q: QParam, trunc: TruncationPolicy) -> float:
     omitted term bounds the tail; unless that bound is below float
     resolution of the sum, TruncationError is raised with the needed count.
     """
+    import mpmath as mp
+
     budget = trunc.max_terms
     peak, peak_at, omitted, needed = _magnitude_scan(_entire_log_terms(x, q.as_float), budget)
     with mp.workdps(int(peak) + 45):

@@ -18,8 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 
-import mpmath as mp
-
 from .errors import DomainError, TruncationError
 from .qcalc import (DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, E_q, TruncationPolicy,
                     _magnitude_scan, _needs)
@@ -79,12 +77,13 @@ def _interchanged_log_terms(qf: float):
         log_poch += math.log10(1 - qf ** (2 * (m + 1)))
 
 
-def _interchanged_c_mp(qv: Fraction, max_terms: int, extra_dps: int = 0) -> tuple[mp.mpf, int]:
+def _interchanged_c_mp(qv: Fraction, max_terms: int, extra_dps: int = 0) -> tuple[Fraction, int]:
     """c(q) by the single-index series in adaptive-precision arithmetic.
 
     Individual terms peak many orders of magnitude above the sum near q = 1
     (about 1e100 at q = 0.999), so the working precision is sized from a
-    magnitude scan before summing. Returns (value, terms_used). Raises
+    magnitude scan before summing. Returns (value, terms_used), the value a
+    dyadic Fraction that float() rounds correctly (see _interchanged_sum). Raises
     TruncationError when the terms have not decayed to negligible absolute
     size within max_terms: an alternating partial sum cut mid-hump is pure
     cancellation noise, not an approximation.
@@ -102,37 +101,40 @@ def _interchanged_c_mp(qv: Fraction, max_terms: int, extra_dps: int = 0) -> tupl
 
 
 @lru_cache(maxsize=PER_Q_CACHE_SIZE)
-def _interchanged_sum(qv: Fraction, needed: int, dps: int) -> mp.mpf:
-    """The first `needed` terms of the c(q) series, times 2 sqrt(1-q), at
-    `dps` digits. Keyed by the exact Fraction q: two q with the same float
-    have different sums.
+def _interchanged_sum(qv: Fraction, needed: int, dps: int) -> Fraction:
+    """The first `needed` terms of the c(q) series, times 2 sqrt(1-q), to
+    `dps` digits, as v / 2^bits. Keyed by the exact Fraction q: two q with the
+    same float have different sums.
 
     The N terms T_j are summed backward as t_j = 1/(1-q^(2j+1)) + r_j t_(j+1),
     U_j = T_j (1-q^(2j+1)), r_j = U_(j+1)/U_j = -q^(2j+2)/(1-q^(2j+2)); t_0 is
     the sum. With q = a/b, t_j is a pair of ints num/den in fixed point at
     `bits` bits, both shifted after each step (only the ratio counts) and
-    divided once at the end; the powers step down from q^(2N-1) by b/a, with
-    guard bits for that descent. A step's rounding, a few units of
-    2^-bits (1 + |t_j|), reaches the sum times U_j, so at the scale of the
-    term T_j and the tail U_j t_j from j, at most about 10^peak: the peak + 60
-    digits keep 60 past the peak, as they do for a forward sum.
+    divided once at the end, times sqrt(1-q) from isqrt at 2^bits; the powers
+    step down from q^(2N-1) by b/a, with guard bits for that descent. `bits`
+    starts from mpmath's precision for `dps` digits, round((dps+1) log2 10).
+    A step's rounding, a few units of 2^-bits (1 + |t_j|), reaches the sum
+    times U_j, so at the scale of the term T_j and the tail U_j t_j from j, at
+    most about 10^peak: the peak + 60 digits keep 60 past the peak, as they do
+    for a forward sum.
     """
     a, b = qv.numerator, qv.denominator
     a_top, b_top = a ** (2 * needed - 1), b ** (2 * needed - 1)
-    with mp.workdps(dps):
-        bits = mp.mp.prec + b_top.bit_length() - a_top.bit_length() + needed.bit_length() + 32
-        one = 1 << bits
-        power = (a_top << bits) // b_top        # q^(2j+1) at j = N - 1
-        num, den = one, one - power
-        for _ in range(needed - 1):
-            even = power * b // a               # q^(2j+2), one j lower
-            power = even * b // a               # q^(2j+1)
-            odd = one - power
-            scaled = (one - even) * den >> bits
-            num, den = (scaled << bits) - odd * (even * num >> bits), odd * scaled
-            shift = den.bit_length() - bits
-            num, den = num >> shift, den >> shift
-        return 2 * mp.sqrt(1 - mp.mpf(a) / b) * mp.fdiv(num, den)
+    prec = round((dps + 1) * 3.3219280948873626)   # mpmath's bits for dps digits
+    bits = prec + b_top.bit_length() - a_top.bit_length() + needed.bit_length() + 32
+    one = 1 << bits
+    power = (a_top << bits) // b_top        # q^(2j+1) at j = N - 1
+    num, den = one, one - power
+    for _ in range(needed - 1):
+        even = power * b // a               # q^(2j+2), one j lower
+        power = even * b // a               # q^(2j+1)
+        odd = one - power
+        scaled = (one - even) * den >> bits
+        num, den = (scaled << bits) - odd * (even * num >> bits), odd * scaled
+        shift = den.bit_length() - bits
+        num, den = num >> shift, den >> shift
+    root = math.isqrt(((b - a) << 2 * bits) // b)     # sqrt(1-q) at 2^bits
+    return Fraction(2 * root * num // den, one)
 
 
 def _interchanged_nested(qv: Fraction, n: int, terms: int, damping=1) -> Fraction:

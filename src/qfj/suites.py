@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-
 from .errors import DomainError
 from .fseries import (fj_blocks, fj_coefficient, fj_coefficient_via_moments,
                       fj_numeric, fj_series, fj_term, lambda_closed_form,
@@ -271,6 +269,8 @@ def g6_scaling(q: QParam, trunc: TruncationPolicy) -> CheckResult:
     shrink like q^(2c), so |last block| q^2/(1-q^2) times g^m, over m = 0, 2, 4,
     bounds the series truncation at g; it must stay under a tenth of the residual.
     """
+    import mpmath as mp
+
     dps = 60
     q_sq = q.value ** 2
     rows = {m: fj_blocks(m, q, _series_max_c(q, 36)) for m in (0, 2, 4)}

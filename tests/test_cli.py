@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,17 @@ class TestMoments:
 
     def test_check_mode_passes_at_default_q(self):
         run_cli("moments", "--max-k", "6", "--check", "--reproducible")
+
+    def test_unprintable_closed_form_is_refused_quickly(self):
+        # k = 94's closed form at 99/100 has a 4,393-digit numerator; the
+        # bracket product reaches it in well under a second
+        start = time.perf_counter()
+        proc = run_cli("moments", "--q", "99/100", "--max-k", "110", "--max-terms", "4096",
+                       "--reproducible", expect=2)
+        assert time.perf_counter() - start < 5
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("qfj: error: ") and proc.stderr.count("\n") == 1
+        assert "4393-digit integer" in proc.stderr and "--float" not in proc.stderr
 
     def test_meta_envelope_only_without_reproducible(self):
         with_meta = json_records(run_cli("moments", "--max-k", "0").stdout)
@@ -171,6 +183,28 @@ def test_format_exact_refuses_integers_past_the_str_limit():
                           (QPolynomial((Fraction(1), Fraction(-(10 ** limit)))), limit + 1)):
         with pytest.raises(ResourceLimitError, match=f" {digits}-digit integer"):
             _format_exact(value)
+
+
+COLD_PATH_PROBE = """
+import contextlib, io, sys
+from fractions import Fraction
+import qfj, qfj.cli
+assert "mpmath" not in sys.modules, "import"
+for argv in ("pairings --n 7", "graphs --m 4 --max-c 2", "series --order 4",
+             "series --check numeric", "moments --max-k 10", "cq",
+             "cq --sweep 1/2:99/100:4"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert qfj.cli.main(argv.split() + ["--reproducible"]) == 0, argv
+    assert "mpmath" not in sys.modules, argv
+qfj.fj_numeric(Fraction(1, 64), qfj.QParam(Fraction(1, 2)), qfj.DEFAULT_POLICY, dps=60)
+assert "mpmath" in sys.modules, "dps=60"
+"""
+
+
+def test_mpmath_is_imported_only_by_multiprecision_routes():
+    proc = subprocess.run([sys.executable, "-c", COLD_PATH_PROBE],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 # stdout sha256 of the two commands the bitmask memo of

@@ -94,6 +94,34 @@ def forward_c_mp(qv: Fraction, max_terms: int, extra_dps: int):
         return 2 * mp.sqrt(1 - qm) * sum(islice(interchanged_terms(qm), needed)), needed
 
 
+def parent_mpf_sum(qv: Fraction, needed: int, dps: int):
+    """_interchanged_sum as it was with an mpf finish: the same backward
+    fixed-point loop at `dps` digits of mpmath precision, then
+    2 sqrt(1-q) num/den rounded in mpf. Reference for the integer finish."""
+    a, b = qv.numerator, qv.denominator
+    a_top, b_top = a ** (2 * needed - 1), b ** (2 * needed - 1)
+    with mp.workdps(dps):
+        bits = mp.mp.prec + b_top.bit_length() - a_top.bit_length() + needed.bit_length() + 32
+        one = 1 << bits
+        power = (a_top << bits) // b_top
+        num, den = one, one - power
+        for _ in range(needed - 1):
+            even = power * b // a
+            power = even * b // a
+            odd = one - power
+            scaled = (one - even) * den >> bits
+            num, den = (scaled << bits) - odd * (even * num >> bits), odd * scaled
+            shift = den.bit_length() - bits
+            num, den = num >> shift, den >> shift
+        return 2 * mp.sqrt(1 - mp.mpf(a) / b) * mp.fdiv(num, den)
+
+
+def exact_mpf(value: Fraction):
+    """A dyadic Fraction (as _interchanged_c_mp returns) as an equal mpf."""
+    with mp.workprec(max(1, value.numerator.bit_length())):
+        return mp.mpf(value.numerator) / value.denominator
+
+
 def hex_sha256(value: Fraction) -> str:
     return hashlib.sha256(f"{value.numerator:x}/{value.denominator:x}".encode()).hexdigest()
 
@@ -231,7 +259,20 @@ class TestMpNormalization:
         assert (float(value), used) == (float(want), needed)
         value, used = qgauss._interchanged_c_mp(qv, 4096, extra_dps=60)
         want, needed = forward_c_mp(qv, 4096, 60)
-        assert (mp.nstr(value, 50), used) == (mp.nstr(want, 50), needed)
+        assert (mp.nstr(exact_mpf(value), 50), used) == (mp.nstr(want, 50), needed)
+
+    def test_integer_finish_rounds_as_the_mpf_finish(self):
+        # every q = a/b with b < 60, the numeric benchmark's 1 - q grid and
+        # two q near one; the scan picks the terms and digits as c_of_q does
+        grid = {Fraction(a, b) for b in range(2, 60) for a in range(1, b)}
+        grid |= {Fraction(n - 1, n) for n in (round(2 * 5000 ** (i / 8)) for i in range(9))}
+        grid |= {Fraction(999, 1000), Fraction(4999, 5000)}
+        for qv in sorted(grid):
+            peak, _, _, needed = _magnitude_scan(
+                qgauss._interchanged_log_terms(float(qv)), 16384)
+            dps = max(30, int(peak) + 60)
+            got = float(qgauss._interchanged_sum(qv, needed, dps))
+            assert got.hex() == float(parent_mpf_sum(qv, needed, dps)).hex(), qv
 
     @pytest.mark.parametrize("qv, budget, used, pinned", [
         (Fraction(3447, 3448), 4000, 3006, "0x1.40d637a4c005dp+1"),
@@ -272,7 +313,7 @@ class TestMpNormalizationMemo:
         qgauss._interchanged_sum.cache_clear()
         values = [qgauss._interchanged_c_mp(qv, 4096, extra_dps=60)[0] for qv in (third, near)]
         assert qgauss._interchanged_sum.cache_info().misses == 2
-        digits = [mp.nstr(value, 50) for value in values]
+        digits = [mp.nstr(exact_mpf(value), 50) for value in values]
         assert digits[0] != digits[1]
         assert digits[1] == mp.nstr(forward_c_mp(near, 4096, 60)[0], 50)
 
