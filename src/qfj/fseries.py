@@ -208,6 +208,52 @@ def fj_term(c: int, k: int, d: int, q: QParam) -> Fraction:
     return numerator / denominator
 
 
+def _integer_blocks(d: int, qv: Fraction, max_c: int):
+    """(numerator, denominator, step) of each block c <= max_c of the g^(2d)
+    coefficient at qv = a/b, as unreduced integers; each denominator is step
+    times the one before.
+
+    With p = q^2, n = 2d+k and N = c+2d, 1/([n]_p! [c-k]_p!) = [N choose n]_p
+    / [N]_p!. With A = a^2 and B = b^2 the G(N,n) = B^(n(N-n)) [N choose n]_p
+    are integers, stepped one row per block by the Pascal rule
+    G(N,n) = G(N-1,n-1) B^(N-n) + A^n G(N-1,n). Over b^(N(N-1)) the k-sum
+    sum_k (-1)^k C(n,k) q^(n(n-1)) [N choose n]_p is A^(d(2d-1)) P_0, by
+    Horner from k = c down: P_k = (-1)^k C(n,k) G(N,n) B^((c-k)(c-k-1)/2)
+    + A^n P_(k+1). The prefactor of fj_term cancels to a^(2c)
+    prod_(i<=c+3d) (b^(2i-1) - a^(2i-1)) / ((b-a)^d (A+ab+B)^(2d)
+    prod_(i<=N) (B^i - A^i) b^(c+(c+3d)(c+3d-1)-6d)).
+    """
+    a, b = qv.numerator, qv.denominator
+    A, B = a * a, b * b
+    a_pow = [A ** n for n in range(max_c + 2 * d + 1)]
+    b_pow = [B ** n for n in range(max_c + 2 * d + 1)]
+    # A^(d(2d-1)) prod_(i<=3d) (b^(2i-1) - a^(2i-1)), and the c = 0 denominator
+    lead = A ** (d * (2 * d - 1)) * math.prod(b ** (2 * i - 1) - a ** (2 * i - 1)
+                                              for i in range(1, 3 * d + 1))
+    step = ((b - a) ** d * (A + a * b + B) ** (2 * d) * b ** (9 * d * (d - 1))
+            * math.prod(b_pow[i] - a_pow[i] for i in range(1, 2 * d + 1)))
+    row, denominator = [1], 1                   # row is G(N, 0..N)
+    for N in range(max_c + 2 * d + 1):
+        if N:
+            row = [1] + [row[n - 1] * b_pow[N - n] + a_pow[n] * row[n]
+                         for n in range(1, N)] + [1]
+        c, j = N - 2 * d, N + d
+        if c < 0:
+            continue
+        if c:
+            power = b ** (2 * j - 1)
+            lead *= power - a ** (2 * j - 1)
+            step = (b_pow[N] - a_pow[N]) * power
+        total, shift = 0, 1                     # shift is B^(t(t-1)/2), t = c-k
+        for k in range(c, -1, -1):
+            n = 2 * d + k
+            term = math.comb(n, k) * row[n] * shift
+            total = (-term if k & 1 else term) + a_pow[n] * total
+            shift *= b_pow[c - k]
+        denominator *= step
+        yield a_pow[c] * lead * total, denominator, step
+
+
 def fj_blocks(m: int, q: QParam, max_c: int) -> tuple[QScalar, ...]:
     """Per-c blocks (k summed out) of the g^m series coefficient, for even m.
 
@@ -218,32 +264,27 @@ def fj_blocks(m: int, q: QParam, max_c: int) -> tuple[QScalar, ...]:
         raise DomainError(f"blocks are defined for even m >= 0, got {m}")
     if max_c < 0:
         raise DomainError("max_c must be non-negative")
-    d = m // 2
-    qv = q.value
-    q_sq = qv * qv
-    out = []
-    for c in range(max_c + 1):
-        # sum_k fj_term(c, k, d) = T_0 (1 + r_0 (1 + r_1 (... (1 + r_(c-1))))),
-        # r_k = T_(k+1)/T_k; nesting adds 1 instead of two large Fractions
-        nested = Fraction(1)
-        for k in reversed(range(c)):
-            n = 2 * d + k
-            ratio = (Fraction(-(n + 1), k + 1) * qv ** (2 * n)
-                     * (1 - q_sq ** (c - k)) / (1 - q_sq ** (n + 1)))
-            nested = 1 + ratio * nested
-        out.append(QScalar(fj_term(c, 0, d, q) * nested))
-    return tuple(out)
+    return tuple(QScalar(numerator, denominator) for numerator, denominator, _
+                 in _integer_blocks(m // 2, q.value, max_c))
 
 
 def fj_coefficient(m: int, q: QParam, max_c: int = 12) -> QScalar:
     """Coefficient of g^m in the perturbative series I(g).
 
     Odd m vanish structurally (only even powers of g appear); even m sums the
-    per-c blocks up to max_c. Always exact at exact rational q.
+    per-c blocks up to max_c, as integers over the last block's denominator,
+    which every earlier one divides: one normalization. Always exact.
     """
     if m < 0:
         raise DomainError(f"series index must be non-negative, got {m}")
-    return QScalar(0 if m % 2 else sum(fj_blocks(m, q, max_c)))
+    if max_c < 0:
+        raise DomainError("max_c must be non-negative")
+    if m % 2:
+        return QScalar(0)
+    total = denominator = 0
+    for numerator, denominator, step in _integer_blocks(m // 2, q.value, max_c):
+        total = total * step + numerator
+    return QScalar(total, denominator)
 
 
 def fj_series(order: int, q: QParam, max_c: int = 12) -> PowerSeries1:
@@ -290,6 +331,8 @@ def fj_coefficient_via_moments(m: int, q: QParam, max_c: int = 12) -> QScalar:
     """
     if m < 0:
         raise DomainError(f"series index must be non-negative, got {m}")
+    if max_c < 0:
+        raise DomainError("max_c must be non-negative")
     qv = q.value
     if m % 2 == 1:
         return QScalar(0)

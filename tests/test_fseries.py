@@ -29,6 +29,7 @@ from qfj.fseries import (
 from qfj.qcalc import TruncationPolicy
 from qfj.qcore import (QParam, QPolynomial, q_double_factorial, q_factorial,
                        q_squared_factorial)
+from qfj.qgraphs import graph_sum_coefficient
 
 Q_HALF = QParam(Fraction(1, 2))
 
@@ -78,6 +79,29 @@ def spy_integrands(monkeypatch, count: int):
 
     monkeypatch.setattr(fseries, "_entire_sum_fixed", spy)
     return seen
+
+
+def nested_fraction_blocks(m: int, q: QParam, max_c: int) -> list[Fraction]:
+    """The per-c blocks of fj_blocks as Fractions, from the k = 0 term by
+    exact ratios: sum_k fj_term(c, k, d) = T_0 (1 + r_0 (1 + r_1 (...))),
+    r_k = T_(k+1)/T_k. Reference for the integer blocks of fseries."""
+    d, qv = m // 2, q.value
+    q_sq = qv * qv
+    out = []
+    for c in range(max_c + 1):
+        nested = Fraction(1)
+        for k in reversed(range(c)):
+            n = 2 * d + k
+            ratio = (Fraction(-(n + 1), k + 1) * qv ** (2 * n)
+                     * (1 - q_sq ** (c - k)) / (1 - q_sq ** (n + 1)))
+            nested = 1 + ratio * nested
+        out.append(fj_term(c, 0, d, q) * nested)
+    return out
+
+
+# every q = a/b with b <= 20, then q near 0, near 1 and of large height
+BLOCK_QS = sorted({Fraction(a, b) for b in range(2, 21) for a in range(1, b)}) + [
+    Fraction(1, 1000), Fraction(99, 100), Fraction(999, 1000), Fraction(150, 199)]
 
 
 class TestPowerSeries1:
@@ -184,6 +208,61 @@ class TestSeriesCoefficients:
         text = f"{value.numerator:x}/{value.denominator:x}"
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("m", [0, 2, 4, 6, 8])
+    def test_blocks_are_the_nested_fraction_blocks(self, m):
+        # the integer blocks, numerator and denominator, against the nested
+        # Fraction loop they replaced; the coefficient is their exact sum
+        for qv in BLOCK_QS:
+            q = QParam(qv)
+            want = nested_fraction_blocks(m, q, 12)
+            for max_c in (0, 1, 2, 7, 12):
+                blocks = fj_blocks(m, q, max_c)
+                assert [(b.numerator, b.denominator) for b in blocks] == [
+                    (w.numerator, w.denominator) for w in want[:max_c + 1]], (qv, max_c)
+                assert fj_coefficient(m, q, max_c) == sum(blocks), (qv, max_c)
+
+    @pytest.mark.parametrize("qv, digest", [
+        (Fraction(99, 100),
+         "41d27ba90188bfbbc8b85b5998dcf8d65548d504aaaf63ecdcda94531749a5a0"),
+        (Fraction(999, 1000),
+         "601b91982d1886080508b04f92825836b357d8b8b8dcaf837194dbb50f2a4522"),
+    ])
+    def test_deep_coefficient_fingerprint(self, qv, digest):
+        # sha256 of "<numerator hex>/<denominator hex>", recorded from the
+        # sum of the nested Fraction blocks
+        value = fj_coefficient(4, QParam(qv), 60)
+        text = f"{value.numerator:x}/{value.denominator:x}"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_blocks_use_no_other_route(self, monkeypatch):
+        # the blocks share nothing with the moment route (_lambda_sum,
+        # _ddf_at) or the term-by-term definition, so equality with either
+        # stays a cross-check
+        calls = []
+        for name in ("_lambda_sum", "_ddf_at", "_qsq_factorial_at", "fj_term"):
+            original = getattr(fseries, name)
+            monkeypatch.setattr(fseries, name, lambda *args, _name=name, _original=original:
+                                calls.append(_name) or _original(*args))
+        q = QParam(Fraction(5, 7))
+        fj_blocks(4, q, 12)
+        fj_coefficient(6, q, 12)
+        fj_series(4, q, 6)
+        assert calls == []
+        assert fj_coefficient_via_moments(4, q, 2) == fj_coefficient(4, q, 2)
+        assert {"_lambda_sum", "_ddf_at", "_qsq_factorial_at"} <= set(calls)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_negative_max_c_is_refused(self, m):
+        q = QParam(Fraction(1, 2))
+        with pytest.raises(DomainError, match="max_c must be non-negative"):
+            fj_coefficient(m, q, -1)
+        with pytest.raises(DomainError, match="max_c must be non-negative"):
+            fj_coefficient_via_moments(m, q, -1)
+        with pytest.raises(DomainError, match="max_c must be non-negative"):
+            fj_blocks(2, q, -1)
+        with pytest.raises(DomainError, match="max_c must be non-negative"):
+            graph_sum_coefficient(2, q, -1)
+
     def test_series_bundles_coefficients(self):
         s = fj_series(4, Q_HALF, max_c=8)
         assert s.truncation_order == 4
@@ -219,16 +298,17 @@ class TestEvaluatedProducts:
         assert fseries._qsq_factorial_at(n, qv) == q_squared_factorial(n).eval(qv)
 
     def test_per_q_caches_are_bounded(self, monkeypatch):
-        # 40 fresh q values need 1,000 _ddf_at entries at max_c = 24
+        # 40 fresh q values need 1,000 _ddf_at entries at c <= 24
         for b in range(1009, 1049):
-            fj_coefficient(4, QParam(Fraction(b - 1000, b)), 24)
+            for c in range(25):
+                fj_term(c, 0, 2, QParam(Fraction(b - 1000, b)))
         # and 300 fresh q values need 300 mp c(q) sums
         for b in range(2, 302):
             qgauss._interchanged_c_mp(Fraction(1, b), 64)
         for cached in (fseries._ddf_at, fseries._qsq_factorial_at, qgauss._interchanged_sum):
             info = cached.cache_info()
             assert info.maxsize == qgauss.PER_Q_CACHE_SIZE
-            assert info.currsize <= info.maxsize
+            assert info.currsize == info.maxsize     # filled, and no further
         # and two 690,741-node sums need 1,381,482 node kernels (a stand-in
         # kernel of 1 keeps it fast; the memo is emptied of its values after)
         kernels = []
