@@ -259,7 +259,9 @@ def _cmd_pairings(args, q: QParam, policy: TruncationPolicy):
 
 def _cmd_series(args, q: QParam, policy: TruncationPolicy):
     records = []
-    for m, coefficient in enumerate(fj_series(args.order, q, args.max_c).coefficients):
+    series = fj_series(args.order, q, args.max_c)
+    for m in range(args.order + 1):
+        coefficient = series.coefficient(m)
         records.append(_record(
             "series_coefficient",
             {"m": m, "q": str(q), "max_c": args.max_c},

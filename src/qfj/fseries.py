@@ -18,38 +18,8 @@ from typing import Mapping
 from .errors import DomainError, EvaluationError, TruncationError
 from .qcalc import (DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, TruncationPolicy, E_q,
                     _entire_log_terms, _magnitude_scan, _needs)
-from .qcore import QParam, QScalar, as_fraction, binomial
+from .qcore import QParam, QPolynomial, QScalar, binomial
 from .qgauss import PER_Q_CACHE_SIZE, _bounded_node_sum, _interchanged_c_mp, c_of_q
-
-
-@dataclass(frozen=True, eq=False)
-class PowerSeries1:
-    """Truncated univariate power series; coefficients[m] multiplies g^m."""
-
-    coefficients: tuple[Fraction, ...]
-    truncation_order: int
-
-    def __post_init__(self):
-        if len(self.coefficients) != self.truncation_order + 1:
-            raise DomainError("coefficient count must equal truncation_order + 1")
-
-    def coefficient(self, m: int) -> Fraction:
-        if 0 <= m <= self.truncation_order:
-            return self.coefficients[m]
-        return Fraction(0)
-
-    def eval(self, g):
-        """Horner evaluation; exact for Fraction/int g, float for float g."""
-        if isinstance(g, float):
-            acc = 0.0
-            for c in reversed(self.coefficients):
-                acc = acc * g + float(c)
-            return acc
-        gv = as_fraction(g, "evaluation point")
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * gv + c
-        return acc
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,12 +257,12 @@ def fj_coefficient(m: int, q: QParam, max_c: int = 12) -> QScalar:
     return QScalar(total, denominator)
 
 
-def fj_series(order: int, q: QParam, max_c: int = 12) -> PowerSeries1:
-    """I(g) assembled through the given order."""
+def fj_series(order: int, q: QParam, max_c: int = 12) -> QPolynomial:
+    """I(g) through g^order, as a polynomial in g. A zero top coefficient (odd
+    order) is stripped, so read A_m by .coefficient(m)."""
     if order < 0:
         raise DomainError("order must be non-negative")
-    return PowerSeries1(tuple(fj_coefficient(m, q, max_c) for m in range(order + 1)),
-                        order)
+    return QPolynomial(tuple(fj_coefficient(m, q, max_c) for m in range(order + 1)))
 
 
 def integrand_expansion(order_g: int, order_x: int, q: QParam) -> PowerSeries2:
@@ -485,6 +455,8 @@ def fj_numeric(g, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY,
     on a guaranteed tail bound or raise TruncationError (see _fj_quadrature).
     """
     if dps is not None:
+        if not isinstance(dps, int) or isinstance(dps, bool) or dps < 1:
+            raise DomainError(f"dps must be a positive integer or None, got {dps!r}")
         return _fj_numeric_mp(g, q, trunc, dps)
     qv, qf, gf, q_sq = q.value, q.as_float, float(g), q.squared
     bracket2, fact3 = _low_brackets(qf)

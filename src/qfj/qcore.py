@@ -79,8 +79,8 @@ class QScalar(Fraction):
 
 @dataclass(frozen=True, eq=False)
 class QPolynomial:
-    """Polynomial with exact rational coefficients, in q or in the
-    integration variable x.
+    """Polynomial with exact rational coefficients, in q, in the integration
+    variable x, or in the coupling g.
 
     coefficients[i] is the coefficient of the i-th power; trailing zeros are
     stripped so the zero polynomial is the empty tuple. As a polynomial in x

@@ -163,6 +163,22 @@ class TestSeriesCommand:
         run_cli("series", "--check", "numeric", "--max-c", "0",
                 "--reproducible", expect=1)
 
+    # stdout sha256 as printed while the series had its own univariate class
+    # that kept a zero top coefficient; the odd orders end on one
+    @pytest.mark.parametrize("args, digest", [
+        (("--order", "5", "--max-c", "12"),
+         "09d15f638b9ebd6a67dbcb6dba502d30019ae16d2ff483132a8117229fab1ff1"),
+        (("--order", "3", "--max-c", "6", "--float"),
+         "f1f78ebb64ba94775bd6a15b7f5c65dd8fa4bad960d9fd96027fd8f2b2b65878"),
+        (("--order", "1"),
+         "591856e5cd4e9d733983a753c52db9d1d2f5ff03039e6deba2efc9feb228f4fc"),
+        (("--order", "0"),
+         "43f71114503afbb0115db1ccb1d5ff9533c7772c51357588fd31e738bb16478c"),
+    ])
+    def test_output_is_pinned(self, args, digest):
+        stdout = run_cli("series", *args, "--reproducible").stdout
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
     def test_value_past_the_int_str_limit_is_a_usage_error(self):
         # the g^2 coefficient at 99/100, max_c 40 has a 5,515-digit
         # denominator, over the interpreter's default limit of 4,300 digits

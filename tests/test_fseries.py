@@ -14,7 +14,6 @@ import hypothesis.strategies as st
 from qfj import fseries, qcalc, qgauss
 from qfj.errors import DomainError, EvaluationError, TruncationError
 from qfj.fseries import (
-    PowerSeries1,
     PowerSeries2,
     fj_blocks,
     fj_coefficient,
@@ -104,15 +103,30 @@ BLOCK_QS = sorted({Fraction(a, b) for b in range(2, 21) for a in range(1, b)}) +
     Fraction(1, 1000), Fraction(99, 100), Fraction(999, 1000), Fraction(150, 199)]
 
 
-class TestPowerSeries1:
-    def test_length_must_match_order(self):
-        with pytest.raises(DomainError):
-            PowerSeries1((ONE,), 2)
+def parent_series_eval(coefficients, g):
+    """Horner over the full coefficient tuple, zero top included, as the
+    series' own univariate class evaluated it before fj_series returned a
+    QPolynomial: exact for Fraction g, float for float g. Reference for
+    fj_series(...).eval."""
+    if isinstance(g, float):
+        acc = 0.0
+        for c in reversed(coefficients):
+            acc = acc * g + float(c)
+        return acc
+    acc = Fraction(0)
+    for c in reversed(coefficients):
+        acc = acc * g + c
+    return acc
 
-    def test_eval_exact_and_float(self):
-        a = PowerSeries1((ONE, TWO, ONE), 2)
-        assert a.eval(Fraction(1, 3)) == Fraction(16, 9)
-        assert a.eval(0.5) == pytest.approx(2.25)
+
+SERIES_QS = [Fraction(1, 1000), Fraction(1, 10), Fraction(1, 4), Fraction(1, 3),
+             Fraction(2, 5), Fraction(1, 2), Fraction(4, 7), Fraction(3, 5),
+             Fraction(2, 3), Fraction(5, 7), Fraction(3, 4), Fraction(4, 5),
+             Fraction(5, 6), Fraction(6, 7), Fraction(7, 8), Fraction(9, 10),
+             Fraction(19, 20), Fraction(137, 293), Fraction(99, 100), Fraction(999, 1000)]
+SERIES_GS = [sign * g for sign in (1, -1)
+             for g in (0.0, 1 / 64, 0.05, 0.1,
+                       Fraction(0), Fraction(1, 64), Fraction(1, 20), Fraction(1, 10))]
 
 
 class TestPowerSeries2:
@@ -265,10 +279,25 @@ class TestSeriesCoefficients:
 
     def test_series_bundles_coefficients(self):
         s = fj_series(4, Q_HALF, max_c=8)
-        assert s.truncation_order == 4
+        assert s.degree == 4
         assert s.coefficient(0).rational_part == 1
         assert s.coefficient(2) == fj_coefficient(2, Q_HALF, 8)
         assert s.eval(0.1) == pytest.approx(1.0013586, rel=1e-4)
+
+    @pytest.mark.parametrize("qv", SERIES_QS)
+    def test_series_evaluates_as_the_parent_horner(self, qv):
+        # odd orders strip the zero top coefficient; the value must not move
+        q = QParam(qv)
+        for order in range(8):
+            series = fj_series(order, q, 12)
+            coefficients = [fj_coefficient(m, q, 12) for m in range(order + 1)]
+            assert [series.coefficient(m) for m in range(order + 1)] == coefficients
+            for g in SERIES_GS:
+                want = parent_series_eval(coefficients, g)
+                if isinstance(g, float):
+                    assert series.eval(g).hex() == want.hex(), (order, g)
+                else:
+                    assert series.eval(g) == want, (order, g)
 
     def test_classical_trend_toward_five_twentyfourths(self):
         target = 5 / 24
@@ -380,6 +409,25 @@ class TestNumericEvaluation:
         with mp.workdps(60):
             assert mp.nstr(fj_numeric(Fraction(1, 20), Q_HALF, dps=60), 50) == (
                 "1.0003396559843148870930903407474041864705288587949")
+
+    @pytest.mark.parametrize("dps", [0, -5, -60, 60.5, True])
+    def test_bad_dps_is_refused_before_any_work(self, monkeypatch, dps):
+        # dps=-60 returned mpf('1.0'), dps=-5 a value wrong in the 16th digit
+        calls = []
+        monkeypatch.setattr(fseries, "_interchanged_c_mp",
+                            lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(fseries, "_entire_sum_fixed", lambda *args: calls.append(args))
+        with pytest.raises(DomainError, match="dps must be a positive integer"):
+            fj_numeric(Fraction(1, 20), Q_HALF, dps=dps)
+        assert calls == []
+
+    @pytest.mark.parametrize("dps", [30, 40, 60])
+    def test_the_used_dps_still_run(self, dps):
+        # the pinned 50-digit value of test_values_are_pinned
+        with mp.workdps(70):
+            want = mp.mpf("1.0003396559843148870930903407474041864705288587949")
+            gap = abs(fj_numeric(Fraction(1, 20), Q_HALF, dps=dps) - want)
+            assert gap < mp.mpf(10) ** -min(dps, 49)
 
     @pytest.mark.parametrize("g, qv, budget, dps, tail", [
         (0.01, Fraction(99, 100), 512, None, "5.834e-01"),        # was 0.9535

@@ -116,6 +116,21 @@ def parent_mpf_sum(qv: Fraction, needed: int, dps: int):
         return 2 * mp.sqrt(1 - mp.mpf(a) / b) * mp.fdiv(num, den)
 
 
+def entire_forward_mp(u, p):
+    """E_p(u) = sum_n p^(n(n-1)/2) u^n / [n]_p! by the plain forward mpf loop
+    at the working precision, t_n = t_(n-1) u p^(n-1) / [n]_p, until a term
+    is below 10^-(dps+20). Reference for the float kernel near q = 1."""
+    total = bracket = mp.mpf(0)
+    term = power = mp.mpf(1)      # power is p^n
+    cutoff = mp.mpf(10) ** -(mp.mp.dps + 20)
+    while abs(term) > cutoff:
+        total += term
+        bracket += power          # [n+1]_p
+        term = term * u * power / bracket
+        power *= p
+    return total
+
+
 def exact_mpf(value: Fraction):
     """A dyadic Fraction (as _interchanged_c_mp returns) as an equal mpf."""
     with mp.workprec(max(1, value.numerator.bit_length())):
@@ -510,6 +525,18 @@ class TestNearClassicalLimit:
         except TruncationError:
             return
         assert abs(a - b) < 1e-10
+
+    @given(st.integers(min_value=100, max_value=10000),
+           st.integers(min_value=0, max_value=64 * 64))
+    @example(10000, 64 * 64)
+    @settings(max_examples=300, deadline=None)
+    def test_float_kernel_matches_a_50_digit_forward_sum(self, N, k):
+        # q = 1 - 1/N, x^2 = k/64 <= min(N, 64) = 64 lies inside [-nu, nu]
+        got = kernel_eval_x2(k / 64, QParam(1 - Fraction(1, N)), TruncationPolicy.floating(512))
+        with mp.workdps(50):
+            qm = 1 - mp.mpf(1) / N
+            want = entire_forward_mp(-qm * qm * k / 64 / (1 + qm), qm * qm)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
     @given(near_one, near_one_budgets, st.integers(min_value=0, max_value=3))
     @settings(max_examples=10, deadline=None)
