@@ -38,15 +38,8 @@ EXACT_CQ_FAITHFUL_REL = 1e-13
 
 def _record(quantity, inputs, exact_value=None, float_value=None,
             truncation_terms_used=None, residual=None, suite_pass=None):
-    return {
-        "quantity": quantity,
-        "inputs": inputs,
-        "exact_value": exact_value,
-        "float_value": float_value,
-        "truncation_terms_used": truncation_terms_used,
-        "residual": residual,
-        "suite_pass": suite_pass,
-    }
+    return dict(zip(RECORD_FIELDS, (quantity, inputs, exact_value, float_value,
+                                    truncation_terms_used, residual, suite_pass)))
 
 
 def _format_exact(value, hint=None):
@@ -144,18 +137,13 @@ def _cmd_moments(args, q: QParam, policy: TruncationPolicy):
             float_value=quad,
             residual=residual,
         ))
-    code = 0
-    if args.check and worst > MOMENT_TOLERANCE:
-        code = 1
-    return records, code
+    return records, 1 if args.check and worst > MOMENT_TOLERANCE else 0
 
 
 def _cq_sweep(args, policy: TruncationPolicy):
     try:
         start_text, stop_text, count_text = args.sweep.split(":")
-        start = Fraction(start_text)
-        stop = Fraction(stop_text)
-        count = int(count_text)
+        start, stop, count = Fraction(start_text), Fraction(stop_text), int(count_text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(
             f"cannot parse sweep {args.sweep!r}; expected start:stop:count "
@@ -315,9 +303,7 @@ def _cmd_graphs(args, q: QParam, policy: TruncationPolicy):
 def _cmd_verify(args, q: QParam, policy: TruncationPolicy):
     results = run_suite(args.suite, q, policy)
     records = []
-    all_pass = True
     for check in results:
-        all_pass = all_pass and check.passed
         records.append(_record(
             "verification_check",
             {"suite": args.suite, "check": check.name, "q": str(q),
@@ -326,7 +312,7 @@ def _cmd_verify(args, q: QParam, policy: TruncationPolicy):
         ))
         if not check.passed:
             print(f"qfj verify: FAIL {check.name}: {check.detail}", file=sys.stderr)
-    return records, 0 if all_pass else 1
+    return records, 0 if all(check.passed for check in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -379,12 +379,6 @@ def _entire_sum_fixed(x: int, p: int, bits: int, max_terms: int, scale: int):
     So the 30 digits past the peak still hold; at the outer nodes of
     q = 1/2 to 499/500 the sum is within 10^-(dps+41) of the mpf loop run
     40 digits finer, against 10^-(dps+30) to 10^-(dps+32) without the guard.
-
-    Only the mp fj_numeric integrand sums this way. _E_q_float_fallback
-    keeps the mpf _entire_sum on purpose: its float result sits at a 1e-45
-    absolute noise floor, and a fixed-point sum there moves float bits
-    (E_q(-98.7, 140/141) at 512 terms: 1.33e-45 becomes 1.05e-46) that
-    feed the memoized node kernels.
     """
     one = 1 << bits
     total, term, power, bracket = 0, one, one, 0     # power is p^n
@@ -416,16 +410,13 @@ def _fj_numeric_mp(g, q: QParam, trunc: TruncationPolicy, dps: int):
     c_value, _ = _interchanged_c_mp(qv, budget, extra_dps=dps)
     bracket2, fact3 = _low_brackets(qf)
     outer = qf * qf / (1 - qf) / bracket2 + abs(float(g)) / (1 - qf) ** 1.5 / fact3
-    peak, _, _, needed = _magnitude_scan(_entire_log_terms(outer, qf * qf), budget, -dps - 25)
+    peak, needed = _magnitude_scan(_entire_log_terms(outer, qf * qf), budget, -dps - 25)
     with mp.workdps(dps + 30 + int(peak)):
         qm = mp.mpf(qv.numerator) / qv.denominator
         q_sq = qm * qm
         nu_m = 1 / mp.sqrt(1 - qm)
         bracket2, fact3 = _low_brackets(qm)
-        if isinstance(g, Fraction):
-            gm = mp.mpf(g.numerator) / g.denominator
-        else:
-            gm = mp.mpf(g)
+        gm = mp.mpf(g.numerator) / g.denominator if isinstance(g, Fraction) else mp.mpf(g)
         bits = mp.mp.prec + 32 + budget.bit_length()
         p_fixed = (qv.numerator ** 2 << bits) // qv.denominator ** 2     # q^2
         scale = 10 ** (dps + 25)

@@ -171,6 +171,13 @@ def _growing_terms(s, q) -> float:
     return math.log(max(1 - s, _MIN_FLOAT)) / math.log(q)
 
 
+def _finite(x: Real) -> float:
+    xf = float(x)
+    if not math.isfinite(xf):
+        raise DomainError(f"argument must be finite, got {xf!r}")
+    return xf
+
+
 def e_q(x: Real, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY) -> Real:
     """The q-exponential sum_n x^n / [n]_q!.
 
@@ -180,12 +187,12 @@ def e_q(x: Real, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY) -> Real:
     with max(2, max_terms // 2) <= h is refused up front with
     TruncationError naming about 2h terms. A float sum whose terms overflow
     float range inside the radius raises EvaluationError; exact mode gives
-    the value.
+    the value. A float argument that is not finite raises DomainError.
     """
     if trunc.is_exact and not isinstance(x, float):
         xv, qv, tol, floor = as_fraction(x, "argument"), q.value, 0, 0
     else:
-        xv, qv, tol, floor = float(x), q.as_float, FLOAT_TAIL_TOLERANCE, _MIN_FLOAT
+        xv, qv, tol, floor = _finite(x), q.as_float, FLOAT_TAIL_TOLERANCE, _MIN_FLOAT
     s = abs(xv) * (1 - qv)
     if s >= 1:
         raise DivergenceError(
@@ -207,7 +214,7 @@ def _entire_sum(x, p, growth, max_terms: int, tol, floor):
     """Partial sum of sum_n growth^(n(n-1)/2) x^n / [n]_p!: growth = p is the
     entire E_p, growth = 1 the q-exponential e_p.
 
-    Runs in the arithmetic of x and p (Fraction, float or mpf alike). A term
+    Runs in the arithmetic of x and p (Fraction or float alike). A term
     with |term| <= tol * max(|partial sum|, floor) ends the sum; tol = 0 spends
     the whole budget (a zero threshold could only drop exact zeros).
     """
@@ -228,21 +235,17 @@ def _magnitude_scan(log_terms, budget: int, cutoff: float = -45):
     """Walk log10 |term_n| for n = 0, 1, ... until a term falls below
     10^cutoff, for at most max(_SCAN_LIMIT, budget + 1) terms.
 
-    Returns (peak, peak_at, at_budget, needed): the largest magnitude (at
-    least that of a leading 1) and its index, which size the working
-    precision of a cancelling sum; the magnitude of term `budget`, the first
-    one a budget-long sum omits (inf if the walk stops before it); and the
-    number of terms up to the first below 10^cutoff, None if none comes.
+    Returns (peak, needed): the largest magnitude (at least that of a leading
+    1), which sizes the working precision of a cancelling sum, and the number
+    of terms up to the first below 10^cutoff, None if none comes.
     """
-    peak, peak_at, at_budget = 0.0, 0, math.inf
+    peak = 0.0
     for n, log_term in enumerate(islice(log_terms, max(_SCAN_LIMIT, budget + 1))):
         if log_term > peak:
-            peak, peak_at = log_term, n
-        if n == budget:
-            at_budget = log_term
+            peak = log_term
         if log_term < cutoff:
-            return peak, peak_at, at_budget, n + 1
-    return peak, peak_at, at_budget, None
+            return peak, n + 1
+    return peak, None
 
 
 def _needs(needed) -> str:
@@ -264,28 +267,46 @@ def _entire_log_terms(x: float, qf: float):
 
 
 def _E_q_float_fallback(x: float, q: QParam, trunc: TruncationPolicy) -> float:
-    """Alternating direct sum in high precision, for negative arguments where
-    the float reciprocal path is unavailable (at or beyond the e_q radius, or
-    needing more terms than the budget).
+    """Euler's product E_q(x) = prod_j (1 + y_j), y_j = (1-q) q^j x (Gasper &
+    Rahman (1.3.16)), for negative x beyond the float reciprocal route. No
+    term cancels, so the result is accurate to its own size.
 
-    The sum stops once its terms fall below 1e-45 absolute. If the budget
-    ends first, past the peak the terms alternate and shrink, so the first
-    omitted term bounds the tail; unless that bound is below float
-    resolution of the sum, TruncationError is raised with the needed count.
+    J factors are formed in fixed point from q = a/b and the exact x, so the
+    one crossing zero keeps its digits, into an int mantissa times
+    2^exponent. The rest, at t = -y_J <= 1/2, is exp(-sum_k t^k/(k (1-q^k))),
+    one-signed terms shrinking by at least t; K of them, with t^(K+1) <=
+    1e-17 (1-q)(1-t), leave less than 1e-17. J minimizes J + K, and a budget
+    below that is refused before any factor is formed.
     """
-    import mpmath as mp
+    budget, one_minus_q = trunc.max_terms, float(1 - q.value)
+    log_q, log_t0 = math.log1p(-one_minus_q), math.log(-x) + math.log(one_minus_q)
 
-    budget = trunc.max_terms
-    peak, peak_at, omitted, needed = _magnitude_scan(_entire_log_terms(x, q.as_float), budget)
-    with mp.workdps(int(peak) + 45):
-        qm = mp.mpf(q.value.numerator) / q.value.denominator
-        total = float(_entire_sum(mp.mpf(x), qm, qm, budget, mp.mpf(10) ** (-45), 1))
-    if (needed is None or needed > budget) and not (
-            peak_at < budget and total != 0.0 and omitted < math.log10(abs(total)) - 16):
-        raise TruncationError(
-            f"E_q alternating series at x={x!r}, q={q} needs {_needs(needed)} terms to "
-            f"converge, budget is {budget}; raise max_terms")
-    return total
+    def cost(j):   # j factors and the tail terms after them, as a real
+        log_t = log_t0 + j * log_q
+        return j + math.log(1e-17 * one_minus_q * -math.expm1(log_t)) / log_t - 1
+
+    j = max(0, math.ceil((log_t0 + math.log(2)) / -log_q))
+    while cost(j + 1) < cost(j):
+        j += 1
+    needed = max(j + 1, math.ceil(cost(j)))
+    if needed > budget:
+        raise TruncationError(f"E_q product at x={x!r}, q={q} needs about {needed} terms, "
+                              f"budget is {budget}; raise max_terms")
+    (a, b), (num, den) = q.value.as_integer_ratio(), x.as_integer_ratio()
+    one = 1 << (bits := 128 + b.bit_length())
+    t = ((b - a) * -num << bits) // (b * den)     # -y_0 at 2^bits
+    mantissa, exponent = one, -bits
+    for _ in range(j):
+        mantissa *= one - t
+        shift = max(mantissa.bit_length() - bits, 0)
+        mantissa, exponent, t = mantissa >> shift, exponent + shift - bits, t * a // b
+    t = t / one
+    tail = sum(t ** k / (k * -math.expm1(k * log_q)) for k in range(1, needed - j + 1))
+    halvings, rest = divmod(tail, math.log(2))
+    try:
+        return math.ldexp(mantissa * math.exp(-rest), exponent - int(halvings))
+    except OverflowError:
+        return math.copysign(math.inf, mantissa)
 
 
 def E_q(x: Real, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY) -> Real:
@@ -293,13 +314,13 @@ def E_q(x: Real, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY) -> Real:
 
     Float evaluation at a negative argument uses the inverse identity
     E_q^x = 1/e_q^(-x) whenever that series converges within the term
-    budget: it sums positive terms only, so no cancellation. Otherwise an
-    adaptive high-precision alternating sum takes over, accurate to 1e-45
-    absolute, or raising TruncationError when the budget cannot reach that.
+    budget: it sums positive terms only, so no cancellation. Otherwise
+    Euler's product, accurate to its own size, or TruncationError when the
+    budget cannot reach that. A non-finite float argument raises DomainError.
     """
     if trunc.is_exact and not isinstance(x, float):
         return _entire_sum(as_fraction(x, "argument"), q.value, q.value, trunc.max_terms, 0, 0)
-    xf, qf, tol = float(x), q.as_float, FLOAT_TAIL_TOLERANCE
+    xf, qf, tol = _finite(x), q.as_float, FLOAT_TAIL_TOLERANCE
     s = -xf * (1.0 - qf)      # |x| over the e_q radius
     if 0.0 < s < 1.0:
         # e_q's series grows for ~log(1-s)/log q terms, then decays at rate s;

@@ -20,7 +20,7 @@ from itertools import count
 
 from .errors import DomainError, TruncationError
 from .qcalc import (DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, E_q, TruncationPolicy,
-                    _magnitude_scan, _needs)
+                    _finite, _magnitude_scan, _needs)
 from .qcore import QParam, QScalar, as_fraction, q_double_factorial, QPolynomial
 
 PER_Q_CACHE_SIZE = 256  # entries in each per-q memo: a few q values' worth
@@ -36,13 +36,13 @@ def kernel_eval_x2(x_squared, q: QParam,
     it directly in rationals. Float mode goes through E_q's negative-argument
     route: the reciprocal 1/e_{q^2}(q^2 x^2 / [2]_q), a positive-term series
     with no cancellation, wherever it converges within the budget (every
-    node of the [-nu, nu] grid lies inside the e_{q^2} radius), and a
-    high-precision alternating sum elsewhere.
+    node of the [-nu, nu] grid lies inside the e_{q^2} radius), and Euler's
+    product elsewhere. A float x^2 that is not finite raises DomainError.
     """
     if trunc.is_exact and not isinstance(x_squared, float):
         qv, x_squared = q.value, as_fraction(x_squared, "x^2")
     else:
-        qv, x_squared = q.as_float, float(x_squared)
+        qv, x_squared = q.as_float, _finite(x_squared)
     return E_q(-(qv * qv * x_squared / (1 + qv)), q.squared, trunc)
 
 
@@ -84,15 +84,16 @@ def _interchanged_c_mp(qv: Fraction, max_terms: int, extra_dps: int = 0) -> tupl
     (about 1e100 at q = 0.999), so the working precision is sized from a
     magnitude scan before summing. Returns (value, terms_used), the value a
     dyadic Fraction that float() rounds correctly (see _interchanged_sum). Raises
-    TruncationError when the terms have not decayed to negligible absolute
-    size within max_terms: an alternating partial sum cut mid-hump is pure
-    cancellation noise, not an approximation.
+    TruncationError when the terms have not fallen below 1e-45 (10^-(extra_dps
+    + 25) for a finer sum) within max_terms: an alternating partial sum cut
+    mid-hump is pure cancellation noise, not an approximation.
 
     The scan, the budget check and so the refusal and terms_used are decided
     on every call; the sum itself is memoized per (exact q, working
     precision) in _interchanged_sum, so a process sums each c(q) once.
     """
-    peak, _, _, needed = _magnitude_scan(_interchanged_log_terms(float(qv)), max_terms)
+    cutoff = -(extra_dps + 25) if extra_dps else -45
+    peak, needed = _magnitude_scan(_interchanged_log_terms(float(qv)), max_terms, cutoff)
     if needed is None or needed > max_terms:
         raise TruncationError(
             f"normalization series at q={qv} needs {_needs(needed)} terms to converge, "
@@ -291,7 +292,7 @@ def c_of_q(q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY,
         return NormalizationResult(None, float(value), method, used)
     if trunc.is_exact:
         r = QScalar(2 * total)
-        return NormalizationResult(r, float(r) * math.sqrt(1 - q.as_float), method, used)
+        return NormalizationResult(r, float(r) * math.sqrt(float(1 - qv)), method, used)
     return NormalizationResult(None, 2.0 * math.sqrt(1.0 - q.as_float) * total, method, used)
 
 

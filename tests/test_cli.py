@@ -212,6 +212,8 @@ for argv in ("pairings --n 7", "graphs --m 4 --max-c 2", "series --order 4",
     with contextlib.redirect_stdout(io.StringIO()):
         assert qfj.cli.main(argv.split() + ["--reproducible"]) == 0, argv
     assert "mpmath" not in sys.modules, argv
+assert qfj.E_q(-30.0, qfj.QParam(Fraction(3, 4))) > 0    # beyond the e_q radius
+assert "mpmath" not in sys.modules, "E_q beyond the reciprocal route"
 qfj.fj_numeric(Fraction(1, 64), qfj.QParam(Fraction(1, 2)), qfj.DEFAULT_POLICY, dps=60)
 assert "mpmath" in sys.modules, "dps=60"
 """

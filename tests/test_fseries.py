@@ -423,11 +423,21 @@ class TestNumericEvaluation:
 
     @pytest.mark.parametrize("dps", [30, 40, 60])
     def test_the_used_dps_still_run(self, dps):
-        # the pinned 50-digit value of test_values_are_pinned
-        with mp.workdps(70):
-            want = mp.mpf("1.0003396559843148870930903407474041864705288587949")
+        # the value at dps=120, which dps=90 matches to 8e-111; each dps
+        # carries its promised 10^-(dps+20) tail, c(q) included
+        with mp.workdps(100):
+            want = mp.mpf("1.00033965598431488709309034074740418647052885879491"
+                          "09439908501550132915916073913")
             gap = abs(fj_numeric(Fraction(1, 20), Q_HALF, dps=dps) - want)
-            assert gap < mp.mpf(10) ** -min(dps, 49)
+            assert gap < mp.mpf(10) ** -(dps + 15)
+
+    @pytest.mark.parametrize("qv, budget", [(Fraction(1, 2), 512), (Fraction(9, 10), 2048)])
+    def test_normalized_integral_at_zero_coupling_is_one(self, qv, budget):
+        # I(0) = 1 exactly; c(q) cut at the default 1e-45 left -1.4e-55 and
+        # -5.2e-50 here
+        with mp.workdps(100):
+            value = fj_numeric(0, QParam(qv), TruncationPolicy.floating(budget), dps=60)
+            assert abs(value - 1) < mp.mpf(10) ** -75
 
     @pytest.mark.parametrize("g, qv, budget, dps, tail", [
         (0.01, Fraction(99, 100), 512, None, "5.834e-01"),        # was 0.9535
@@ -446,15 +456,19 @@ class TestNumericEvaluation:
         assert calls == []
 
     def test_short_integrand_budget_is_refused_before_any_integrand(self, monkeypatch):
-        # g = 1 proves no quadrature floor, and E_{q^2}(u) at x = nu needs 29
-        # terms to fall below 1e-85; the 24-term integrand used to be summed
-        # short at every node
+        # g = 1 proves no quadrature floor. At 3/4, c(q) needs 27 terms to fall
+        # below 1e-85 and E_{q^2}(u) at x = nu needs 29, so 24 terms are refused
+        # by the first and 28 by the second; the 24-term integrand used to be
+        # summed short at every node
         calls = []
         monkeypatch.setattr(fseries, "_entire_sum_fixed", lambda *args: calls.append(args))
-        with pytest.raises(TruncationError, match="needs about 29 terms to reach 1e-85 at "
-                                                  "x = nu, budget is 24"):
-            fj_numeric(Fraction(1), QParam(Fraction(3, 4)), TruncationPolicy.floating(24),
-                       dps=60)
+        for budget, message in (
+                (24, "normalization series at q=3/4 needs about 27 terms to converge, "
+                     "budget is 24"),
+                (28, "needs about 29 terms to reach 1e-85 at x = nu, budget is 28")):
+            with pytest.raises(TruncationError, match=message):
+                fj_numeric(Fraction(1), QParam(Fraction(3, 4)),
+                           TruncationPolicy.floating(budget), dps=60)
         assert calls == []
 
     def test_mp_precision_covers_the_outer_node_term_peak(self, monkeypatch):

@@ -3,8 +3,9 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from qfj.errors import DivergenceError, DomainError, EvaluationError, TruncationError
@@ -25,6 +26,28 @@ Q_HALF = QParam(Fraction(1, 2))
 
 q_params = st.fractions(min_value=Fraction(1, 8), max_value=Fraction(7, 8),
                         max_denominator=16).map(QParam)
+
+
+def euler_product_mp(x: Fraction, qv: Fraction):
+    """E_q(x) = prod_j (1 + (1-q) q^j x) at the working precision, until a
+    factor is within 10^-(dps+5) of 1 (the rest is then exp(y_J/(1-q)) to
+    that order), or until the product is below 1e-310 with every later
+    factor inside (0, 1). A factor near zero is formed from the exact x and q,
+    so an exact zero stays zero. Reference for the float product."""
+    qm = mp.mpf(qv.numerator) / qv.denominator
+    y = (1 - qm) * (mp.mpf(x.numerator) / x.denominator)
+    product, j = mp.mpf(1), 0
+    while abs(y) > mp.mpf(10) ** -(mp.mp.dps + 5):
+        if -2 < y < 0 and abs(product) < 1e-310:
+            return product
+        factor = 1 + y
+        if abs(factor) < 1e-3:
+            exact = 1 + (1 - qv) * qv ** j * x
+            factor = mp.mpf(exact.numerator) / exact.denominator
+        product *= factor
+        y *= qm
+        j += 1
+    return product * mp.exp(y / (1 - qm))
 
 
 class TestTruncationPolicy:
@@ -216,10 +239,19 @@ class TestLargeQExponential:
 
     def test_large_negative_argument_inside_radius_is_entire(self):
         # |x| = 95 < 1/(1-q) = 100: the reciprocal series would need ~2000
-        # terms, so the alternating sum answers; the true value, ~1.2e-63,
-        # is below its resolution (terms cut at 1e-45 absolute)
+        # terms, so Euler's product answers, to its value (the alternating sum
+        # it replaced was right only to 1e-45 absolute)
         val = E_q(-95.0, QParam(Fraction(99, 100)), DEFAULT_POLICY)
-        assert abs(val) < 1e-44
+        assert val == pytest.approx(1.2302853488835228e-63, rel=1e-12)
+
+    def test_product_is_accurate_where_the_alternating_sum_was_noise(self):
+        # the alternating sum gave 1.33e-45, its absolute floor
+        val = E_q(-98.7, QParam(Fraction(140, 141)), TruncationPolicy.floating(512))
+        assert val == pytest.approx(2.9499289331175017e-55, rel=1e-12)
+
+    def test_a_vanishing_factor_gives_exactly_zero(self):
+        # (1-q) q x = -1 at j = 1
+        assert E_q(-4.0, Q_HALF, DEFAULT_POLICY) == 0.0
 
     def test_reciprocal_route_never_returns_a_partial_sum(self):
         # 216 terms cut the reciprocal series at ~1e-10 of its value
@@ -235,15 +267,55 @@ class TestLargeQExponential:
             e_q(689.6, q, TruncationPolicy.floating(2048))
         assert E_q(-689.6, q, TruncationPolicy.floating(2048)) == 0.0
 
-    def test_alternating_sum_short_of_budget_raises(self):
-        # eight terms of the alternating series are off by 3e-4
-        with pytest.raises(TruncationError, match="needs about"):
-            E_q(-5.0, Q_HALF, TruncationPolicy.floating(8))
+    @given(st.integers(min_value=2, max_value=10_000),
+           st.fractions(min_value=0, max_value=1, max_denominator=1000))
+    @example(10_000, Fraction(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_product_near_one_is_accurate_to_its_value(self, n, t):
+        # q = 1 - 1/N and x = -k/64 in [-3/(1-q), -1/(1-q)]: beyond the e_q
+        # radius, so Euler's product answers
+        qv = 1 - Fraction(1, n)
+        x = -Fraction(64 * n + math.floor(t * 128 * n), 64)
+        got = E_q(float(x), QParam(qv), TruncationPolicy.floating(64 * n))
+        with mp.workdps(60):
+            want = euler_product_mp(x, qv)
+            assert (abs(got) < 1e-300 and abs(want) < 1e-300) or (
+                abs(got - want) <= 1e-12 * abs(want)), (got, want)
+
+    def test_product_short_of_budget_raises(self):
+        # 3 factors reach |y| <= 1/2 and the log tail then needs 31 terms;
+        # more factors shorten the tail, down to 16 terms in all
+        with pytest.raises(TruncationError, match="needs about 16 terms, budget is 15"):
+            E_q(-5.0, Q_HALF, TruncationPolicy.floating(15))
+        assert E_q(-5.0, Q_HALF, TruncationPolicy.floating(16)) == pytest.approx(
+            float(E_q(Fraction(-5), Q_HALF, TruncationPolicy.exact(64))), rel=1e-14)
 
     @pytest.mark.parametrize("x, qv, budget, needed", [
-        (-5.0, Fraction(1, 2), 8, 21),
-        (-25.0, Fraction(16, 17), 32, 74),
+        (-5.0, Fraction(1, 2), 8, 16),
+        (-25.0, Fraction(16, 17), 32, 59),
+        (-1e6, Fraction(9999, 10000), 4096, 53051),
     ])
-    def test_alternating_sum_names_the_terms_it_needs(self, x, qv, budget, needed):
+    def test_product_names_the_terms_it_needs(self, x, qv, budget, needed):
+        # refused before any factor is formed, which starts from x's exact ratio
+        ratios = []
+
+        class Traced(float):
+            def as_integer_ratio(self):
+                ratios.append(self)
+                return super().as_integer_ratio()
+
         with pytest.raises(TruncationError, match=f"needs about {needed} terms"):
-            _E_q_float_fallback(x, QParam(qv), TruncationPolicy.floating(budget))
+            _E_q_float_fallback(Traced(x), QParam(qv), TruncationPolicy.floating(budget))
+        assert ratios == []
+        _E_q_float_fallback(Traced(x), QParam(qv), TruncationPolicy.floating(needed))
+        assert len(ratios) == 1
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("function", [e_q, E_q])
+def test_non_finite_float_argument_is_refused(function, x):
+    # e_q(nan) reported an overflow, E_q(-inf) leaked OverflowError and the
+    # rest returned nan
+    for trunc in (DEFAULT_POLICY, TruncationPolicy.exact(8)):
+        with pytest.raises(DomainError, match="argument must be finite"):
+            function(x, Q_HALF, trunc)

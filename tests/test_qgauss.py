@@ -88,7 +88,8 @@ def interchanged_terms(qv):
 def forward_c_mp(qv: Fraction, max_terms: int, extra_dps: int):
     """c(q) as the plain forward mpf sum of interchanged_terms, with the term
     count and working precision _interchanged_c_mp takes from its scan."""
-    peak, _, _, needed = _magnitude_scan(qgauss._interchanged_log_terms(float(qv)), max_terms)
+    cutoff = -(extra_dps + 25) if extra_dps else -45
+    peak, needed = _magnitude_scan(qgauss._interchanged_log_terms(float(qv)), max_terms, cutoff)
     with mp.workdps(max(30, int(peak) + 60) + extra_dps):
         qm = mp.mpf(qv.numerator) / qv.denominator
         return 2 * mp.sqrt(1 - qm) * sum(islice(interchanged_terms(qm), needed)), needed
@@ -164,11 +165,20 @@ class TestKernel:
         assert 0 < val < 1e-2
 
     def test_far_tail_is_noise_scale_not_garbage(self):
-        # true value is ~exp(-200), below the fallback's absolute resolution;
-        # the contract is noise magnitude, not sign
+        # true value is ~exp(-225): Euler's product gives it to its own
+        # size, where the alternating sum it replaced gave 1e-45 noise
         q = QParam(Fraction(999, 1000))
         val = kernel_eval(20.0, q, DEFAULT_POLICY)
-        assert abs(val) < 1e-40
+        assert val == pytest.approx(3.9728868476275351e-98, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_argument_is_refused(self, x):
+        # kernel_eval(nan) returned nan and kernel_eval(inf) leaked OverflowError
+        for trunc in (DEFAULT_POLICY, TruncationPolicy.exact(8)):
+            with pytest.raises(DomainError, match="argument must be finite"):
+                kernel_eval_x2(x, Q_HALF, trunc)
+            with pytest.raises(DomainError, match="argument must be finite"):
+                kernel_eval(x, Q_HALF, trunc)
 
     @pytest.mark.parametrize("qv, x2, M", [
         (Fraction(1, 2), Fraction(2), 12),          # x^2 = nu^2
@@ -283,7 +293,7 @@ class TestMpNormalization:
         grid |= {Fraction(n - 1, n) for n in (round(2 * 5000 ** (i / 8)) for i in range(9))}
         grid |= {Fraction(999, 1000), Fraction(4999, 5000)}
         for qv in sorted(grid):
-            peak, _, _, needed = _magnitude_scan(
+            peak, needed = _magnitude_scan(
                 qgauss._interchanged_log_terms(float(qv)), 16384)
             dps = max(30, int(peak) + 60)
             got = float(qgauss._interchanged_sum(qv, needed, dps))
