@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import __version__
 from .errors import DomainError, QfjError, ResourceLimitError, TruncationError
@@ -24,7 +25,7 @@ from .fseries import _ddf_at, fj_coefficient, fj_series, fj_term
 from .pairings import enumerate_pairings, weight, weighted_pairing_sum
 from .qcalc import TruncationPolicy
 from .qcore import QParam, QPolynomial, q_double_factorial
-from .qgauss import c_of_q, moment_by_integration
+from .qgauss import _interchanged_log_terms, _interchanged_sum, c_of_q, moment_by_integration
 from .qgraphs import graph_block_value, graph_sum_coefficient
 from .suites import (MOMENT_TOLERANCE, SQRT_TWO_PI, SUITE_NAMES,
                      g2_by_finite_difference, run_suite)
@@ -169,11 +170,16 @@ def _exact_cq_annotation(q: QParam, policy: TruncationPolicy, reference: float):
 
     The exact partial sums grow quadratically many digits with the term
     count, so unbounded ones are useless as output (and overflow the
-    int-to-str conversion limit near q = 1).
+    int-to-str conversion limit near q = 1). A rung whose fixed-point sum
+    (at _interchanged_c_mp's precision) misses by twice the bound is skipped.
     """
+    dps = int(max(islice(_interchanged_log_terms(q.as_float), 64))) + 60
     for terms in (8, 12, 16, 24, 32, 48, 64):
         if terms > policy.max_terms:
             break
+        if abs(float(_interchanged_sum(q.value, terms, dps)) - reference) > (
+                2 * EXACT_CQ_FAITHFUL_REL * reference):
+            continue
         result = c_of_q(q, TruncationPolicy.exact(terms))
         if abs(result.float_value - reference) >= EXACT_CQ_FAITHFUL_REL * reference:
             continue

@@ -10,7 +10,6 @@ formulas it is used to check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
@@ -18,25 +17,23 @@ from typing import Mapping
 from .errors import DomainError, EvaluationError, TruncationError
 from .qcalc import (DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, TruncationPolicy, E_q,
                     _entire_log_terms, _magnitude_scan, _needs)
-from .qcore import QParam, QPolynomial, QScalar, binomial
+from .qcore import Frozen, QParam, QPolynomial, QScalar, binomial
 from .qgauss import PER_Q_CACHE_SIZE, _bounded_node_sum, _interchanged_c_mp, c_of_q
 
 
-@dataclass(frozen=True, eq=False)
-class PowerSeries2:
+class PowerSeries2(Frozen):
     """Truncated bivariate power series with a total-degree bound.
 
     terms maps (i, j) to the coefficient of x^i * y^j;
     monomials beyond the bound are dropped by construction and by products.
     """
 
-    terms: Mapping[tuple[int, int], Fraction]
-    truncation: int
+    _fields = ("terms", "truncation")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity
 
-    def __post_init__(self):
-        clean = {key: value for key, value in self.terms.items()
-                 if value and key[0] + key[1] <= self.truncation}
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, terms: Mapping[tuple[int, int], Fraction], truncation: int):
+        self._set({key: value for key, value in terms.items()
+                   if value and key[0] + key[1] <= truncation}, truncation)
 
     def coefficient(self, i: int, j: int) -> Fraction:
         return self.terms.get((i, j), Fraction(0))
@@ -55,13 +52,14 @@ class PowerSeries2:
         return PowerSeries2(out, bound)
 
 
-@dataclass(frozen=True, eq=False)
-class LambdaTable:
+class LambdaTable(Frozen):
     """Expansion coefficients lambda_{c,d} on the rectangle c <= max_c, d <= max_d."""
 
-    values: Mapping[tuple[int, int], Fraction]
-    max_c: int
-    max_d: int
+    _fields = ("values", "max_c", "max_d")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity
+
+    def __init__(self, values: Mapping[tuple[int, int], Fraction], max_c: int, max_d: int):
+        self._set(values, max_c, max_d)
 
     def lam(self, c: int, d: int) -> QScalar:
         if not (0 <= c <= self.max_c and 0 <= d <= self.max_d):

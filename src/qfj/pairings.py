@@ -12,13 +12,12 @@ closed form) on this side of every cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .errors import DomainError, ResourceLimitError, ValidationError
-from .qcore import QPolynomial
+from .qcore import Frozen, QPolynomial
 
 # Largest n enumerated: (2*8-1)!! = 2,027,025 pairings. It bounds every
 # function here and the qgraphs blocks; the histogram of
@@ -26,15 +25,14 @@ from .qcore import QPolynomial
 DEFAULT_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class OrderedPairing:
+class OrderedPairing(Frozen):
     """Pairs ((a_1,b_1),...,(a_n,b_n)) partitioning {1,...,2n}; may be empty."""
 
-    pairs: tuple[tuple[int, int], ...]
+    _fields = ("pairs",)
 
-    def __post_init__(self):
-        pairs = tuple((int(a), int(b)) for a, b in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        pairs = tuple((int(a), int(b)) for a, b in pairs)
+        self._set(pairs)
         seen: set[int] = set()
         previous_a = 0
         for a, b in pairs:

@@ -14,13 +14,12 @@ never depend on truncation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import DivergenceError, DomainError, EvaluationError, TruncationError
-from .qcore import QParam, QPolynomial, as_fraction
+from .qcore import Frozen, QParam, QPolynomial, as_fraction
 
 Real = Union[int, Fraction, float]
 
@@ -29,8 +28,7 @@ FLOAT_TAIL_TOLERANCE = 1e-30  # float loops stop at a term or tail bound this fa
 _SCAN_LIMIT = 200_000  # longest log-magnitude scan behind a TruncationError hint
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(Frozen):
     """How infinite series and node sums are cut off.
 
     max_terms is the hard budget. Float mode may stop earlier, once a series
@@ -38,14 +36,14 @@ class TruncationPolicy:
     partial sum; exact mode always spends the full budget.
     """
 
-    max_terms: int = 512
-    mode: str = "float"
+    _fields = ("max_terms", "mode")
 
-    def __post_init__(self):
-        if self.mode not in ("exact", "float"):
-            raise DomainError(f"mode must be 'exact' or 'float', got {self.mode!r}")
-        if not isinstance(self.max_terms, int) or self.max_terms < 1:
+    def __init__(self, max_terms: int = 512, mode: str = "float"):
+        if mode not in ("exact", "float"):
+            raise DomainError(f"mode must be 'exact' or 'float', got {mode!r}")
+        if not isinstance(max_terms, int) or max_terms < 1:
             raise DomainError("max_terms must be a positive integer")
+        self._set(max_terms, mode)
 
     @classmethod
     def exact(cls, max_terms: int) -> "TruncationPolicy":
@@ -63,8 +61,7 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """Value of a truncated Jackson sum plus diagnostics.
 
     residual is |last included term| times the (1-q)b node weight, not a tail

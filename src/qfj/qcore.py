@@ -8,7 +8,6 @@ rounds on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Union
@@ -33,16 +32,46 @@ def as_fraction(value, what: str = "value") -> Fraction:
         raise DomainError(f"cannot read {value!r} as an exact rational {what}") from exc
 
 
-@dataclass(frozen=True)
-class QParam:
+class Frozen:
+    """Immutable value: __init__ stores the fields named in _fields once, with
+    _set; repr, == and hash go by them. The instance __dict__ stays, so copy,
+    deepcopy and pickle restore an instance without __setattr__."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+
+class QParam(Frozen):
     """The deformation parameter: an exact rational strictly inside (0, 1)."""
 
-    value: Fraction
+    _fields = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", as_fraction(self.value, "q"))
-        if not (0 < self.value < 1):
-            raise DomainError(f"q must satisfy 0 < q < 1, got {self.value}")
+    def __init__(self, value: RationalLike):
+        value = as_fraction(value, "q")
+        if not (0 < value < 1):
+            raise DomainError(f"q must satisfy 0 < q < 1, got {value}")
+        self._set(value)
 
     @cached_property
     def as_float(self) -> float:
@@ -77,8 +106,7 @@ class QScalar(Fraction):
         return self
 
 
-@dataclass(frozen=True, eq=False)
-class QPolynomial:
+class QPolynomial(Frozen):
     """Polynomial with exact rational coefficients, in q, in the integration
     variable x, or in the coupling g.
 
@@ -88,13 +116,13 @@ class QPolynomial:
     q-derivatives; it is callable, like any other integrand.
     """
 
-    coefficients: tuple[Fraction, ...]
+    _fields = ("coefficients",)
 
-    def __post_init__(self):
-        coeffs = tuple(as_fraction(c, "coefficient") for c in self.coefficients)
+    def __init__(self, coefficients):
+        coeffs = tuple(as_fraction(c, "coefficient") for c in coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        self._set(coeffs)
 
     @classmethod
     def zero(cls) -> "QPolynomial":

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
+from typing import NamedTuple
 
 from .errors import DomainError, TruncationError
 from .qcalc import (DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, E_q, TruncationPolicy,
@@ -51,8 +51,7 @@ def kernel_eval(x, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY):
     return kernel_eval_x2(x * x, q, trunc)
 
 
-@dataclass(frozen=True)
-class NormalizationResult:
+class NormalizationResult(NamedTuple):
     """c(q) in the form r * sqrt(1-q).
 
     surd_value holds the exact rational r in exact mode and is None in float

@@ -12,27 +12,22 @@ route from the double-factorial closed form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError, ValidationError
 from .pairings import (DEFAULT_LIMIT, OrderedPairing, iter_pairings, weight,
                        weight_exponent_counts)
-from .qcore import (QParam, QPolynomial, QScalar, binomial, q_bracket,
+from .qcore import (Frozen, QParam, QPolynomial, QScalar, binomial, q_bracket,
                     q_factorial, q_squared_factorial)
 
 
-@dataclass(frozen=True)
-class GraphEncoding:
+class GraphEncoding(Frozen):
     """One decorated graph contributing to the coefficient of g^dprime."""
 
-    c: int
-    dprime: int
-    k: int
-    sigma: tuple[int, ...]
-    flag_pairing: OrderedPairing
+    _fields = ("c", "dprime", "k", "sigma", "flag_pairing")
 
-    def __post_init__(self):
+    def __init__(self, c: int, dprime: int, k: int, sigma: tuple, flag_pairing: OrderedPairing):
+        self._set(c, dprime, k, sigma, flag_pairing)
         if self.c < 0 or self.dprime < 0:
             raise ValidationError("c and dprime must be non-negative")
         if self.dprime % 2 != 0:

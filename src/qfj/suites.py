@@ -10,10 +10,10 @@ string states what was compared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, TruncationError
 from .fseries import (fj_blocks, fj_coefficient, fj_coefficient_via_moments,
                       fj_numeric, fj_series, fj_term, lambda_closed_form,
                       lambda_oracle)
@@ -35,8 +35,7 @@ MAX_C_CAP = 60
 SUITE_NAMES = ("qcalc", "gauss", "pairings", "lambda", "series", "graphs", "all")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -109,8 +108,9 @@ def classical_integral_probe(q: QParam, trunc: TruncationPolicy) -> CheckResult:
 
 def exponential_inverse_series(q: QParam, trunc: TruncationPolicy) -> CheckResult:
     qv = q.value
+    factorials = [q_factorial(j).eval(qv) for j in range(13)]
     ok = all(sum(Fraction((-1) ** j) * qv ** (j * (j - 1) // 2)
-                 / (q_factorial(j).eval(qv) * q_factorial(m - j).eval(qv))
+                 / (factorials[j] * factorials[m - j])
                  for j in range(m + 1)) == 0
              for m in range(1, 13))
     return CheckResult("exponential-inverse-series", ok,
@@ -352,9 +352,17 @@ _SUITES = {
 def run_suite(name: str, q: QParam | None = None,
               trunc: TruncationPolicy = DEFAULT_POLICY) -> list[CheckResult]:
     """Run one named suite (or 'all') at the given q, default 1/2, with every
-    series and quadrature cut off by trunc."""
+    series and quadrature cut off by trunc. A check whose budget trunc
+    refuses is a failed result, named like its function, whose detail is the
+    TruncationError's message."""
     if name not in SUITE_NAMES:
         raise DomainError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     qp = q if q is not None else QParam(Fraction(1, 2))
     keys = SUITE_NAMES[:-1] if name == "all" else (name,)
-    return [check(qp, trunc) for key in keys for check in _SUITES[key]]
+    results = []
+    for check in (fn for key in keys for fn in _SUITES[key]):
+        try:
+            results.append(check(qp, trunc))
+        except TruncationError as exc:
+            results.append(CheckResult(check.__name__.replace("_", "-"), False, str(exc)))
+    return results
