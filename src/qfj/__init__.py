@@ -8,10 +8,9 @@ check genuinely needs them.
 
 from .errors import (DivergenceError, DomainError, EvaluationError, QfjError,
                      ResourceLimitError, TruncationError, ValidationError)
-from .fseries import (LambdaTable, PowerSeries2, fj_blocks, fj_coefficient,
-                      fj_coefficient_via_moments, fj_numeric, fj_series,
-                      fj_term, integrand_expansion, lambda_closed_form,
-                      lambda_oracle)
+from .fseries import (LambdaTable, fj_blocks, fj_coefficient,
+                      fj_coefficient_via_moments, fj_numeric, fj_series, fj_term,
+                      integrand_expansion, lambda_closed_form, lambda_oracle)
 from .pairings import (OrderedPairing, enumerate_pairings, iter_pairings,
                        weight, weight_exponent_counts, weighted_pairing_sum)
 from .qcalc import (DEFAULT_POLICY, E_q, QuadratureResult, TruncationPolicy,
@@ -39,9 +38,9 @@ __all__ = [
     "moment_closed_form", "moment_by_integration",
     "OrderedPairing", "iter_pairings", "enumerate_pairings", "weight",
     "weight_exponent_counts", "weighted_pairing_sum",
-    "PowerSeries2", "LambdaTable", "lambda_closed_form",
-    "lambda_oracle", "fj_term", "fj_blocks", "fj_coefficient", "fj_series",
-    "fj_coefficient_via_moments", "fj_numeric", "integrand_expansion",
+    "LambdaTable", "lambda_closed_form", "lambda_oracle", "fj_term", "fj_blocks",
+    "fj_coefficient", "fj_series", "fj_coefficient_via_moments", "fj_numeric",
+    "integrand_expansion",
     "GraphEncoding", "enumerate_graphs", "omega_q", "a_q",
     "graph_block_value", "graph_sum_coefficient",
     "CheckResult", "SUITE_NAMES", "run_suite",

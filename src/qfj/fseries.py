@@ -16,40 +16,9 @@ from typing import Mapping
 
 from .errors import DomainError, EvaluationError, TruncationError
 from .qcalc import (DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, TruncationPolicy, E_q,
-                    _entire_log_terms, _magnitude_scan, _needs)
+                    _entire_log_terms, _finite, _magnitude_scan, _needs)
 from .qcore import Frozen, QParam, QPolynomial, QScalar, binomial
 from .qgauss import PER_Q_CACHE_SIZE, _bounded_node_sum, _interchanged_c_mp, c_of_q
-
-
-class PowerSeries2(Frozen):
-    """Truncated bivariate power series with a total-degree bound.
-
-    terms maps (i, j) to the coefficient of x^i * y^j;
-    monomials beyond the bound are dropped by construction and by products.
-    """
-
-    _fields = ("terms", "truncation")
-    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity
-
-    def __init__(self, terms: Mapping[tuple[int, int], Fraction], truncation: int):
-        self._set({key: value for key, value in terms.items()
-                   if value and key[0] + key[1] <= truncation}, truncation)
-
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), Fraction(0))
-
-    def __mul__(self, other: "PowerSeries2") -> "PowerSeries2":
-        bound = min(self.truncation, other.truncation)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), a in self.terms.items():
-            for (i2, j2), b in other.terms.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j > bound:
-                    continue
-                key = (i, j)
-                prod = a * b
-                out[key] = out[key] + prod if key in out else prod
-        return PowerSeries2(out, bound)
 
 
 class LambdaTable(Frozen):
@@ -117,37 +86,27 @@ def lambda_closed_form(c: int, d: int, q: QParam) -> QScalar:
     return QScalar(_lambda_sum(c, d, q.value))
 
 
-def _E_two_variable(total_degree: int, q: QParam) -> PowerSeries2:
-    """The entire q^2-exponential of x+y as a bivariate series: coefficient of
-    x^a y^b is q^(n(n-1)) C(n,a) / [n]_{q^2}! with n = a + b."""
-    qv = q.value
-    terms: dict[tuple[int, int], Fraction] = {}
-    for n in range(total_degree + 1):
-        base = qv ** (n * (n - 1)) / _qsq_factorial_at(n, qv)
-        for a in range(n + 1):
-            terms[(a, n - a)] = base * binomial(n, a)
-    return PowerSeries2(terms, total_degree)
-
-
 def lambda_oracle(max_c: int, max_d: int, q: QParam) -> LambdaTable:
     """lambda table computed without the closed form, by series division.
 
     Divide the bivariate q^2-exponential of x+y by the univariate one in x,
     using the inverse identity: the reciprocal of the entire q^2-exponential
     is the alternating plain q^2-exponential. The product's (c,d) coefficient
-    is lambda_{c,d}.
+    is lambda_{c,d}, so only the products that land in the table are formed:
+    each term q^(n(n-1)) C(n,a) / [n]_{q^2}! of x^a y^d (n = a + d) times
+    each reciprocal term (-1)^r / [r]_{q^2}! with a + r <= max_c.
     """
     if max_c < 0 or max_d < 0:
         raise DomainError("table bounds must be non-negative")
-    degree = max_c + max_d
     qv = q.value
-    numerator = _E_two_variable(degree, q)
-    reciprocal = PowerSeries2(
-        {(a, 0): (-1) ** a / _qsq_factorial_at(a, qv) for a in range(degree + 1)},
-        degree)
-    product = numerator * reciprocal
-    values = {(c, d): product.coefficient(c, d)
-              for c in range(max_c + 1) for d in range(max_d + 1)}
+    reciprocal = [(-1) ** r / _qsq_factorial_at(r, qv) for r in range(max_c + 1)]
+    values = {(c, d): Fraction(0) for c in range(max_c + 1) for d in range(max_d + 1)}
+    for a in range(max_c + 1):
+        for d in range(max_d + 1):
+            n = a + d
+            term = binomial(n, a) * qv ** (n * (n - 1)) / _qsq_factorial_at(n, qv)
+            for r in range(max_c - a + 1):
+                values[a + r, d] += term * reciprocal[r]
     return LambdaTable(values, max_c, max_d)
 
 
@@ -263,8 +222,10 @@ def fj_series(order: int, q: QParam, max_c: int = 12) -> QPolynomial:
     return QPolynomial(tuple(fj_coefficient(m, q, max_c) for m in range(order + 1)))
 
 
-def integrand_expansion(order_g: int, order_x: int, q: QParam) -> PowerSeries2:
-    """The integrand divided by the Gaussian kernel, expanded in x and g.
+def integrand_expansion(order_g: int, order_x: int,
+                        q: QParam) -> dict[tuple[int, int], Fraction]:
+    """The integrand divided by the Gaussian kernel, expanded in x and g, as
+    {(x-power, g-power): coefficient} holding the nonzero coefficients.
 
     Coefficients sit at (x-power, g-power) = (2c+3d, d):
     sum_k (-1)^(2c-k) C(d+k,k) q^((d+k)(d+k-1)+2c)
@@ -279,7 +240,7 @@ def integrand_expansion(order_g: int, order_x: int, q: QParam) -> PowerSeries2:
     brackets = _low_brackets(qv)
     terms = {(2 * c + 3 * d, d): _expansion_coefficient(c, d, qv, *brackets)
              for d in range(order_g + 1) for c in range((order_x - 3 * d) // 2 + 1)}
-    return PowerSeries2(terms, order_x + order_g)
+    return {key: value for key, value in terms.items() if value}
 
 
 def _expansion_coefficient(c: int, d: int, qv: Fraction,
@@ -441,13 +402,15 @@ def fj_numeric(g, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY,
     is evaluated at the shifted argument -q^2 x^2/[2]_q + g x^3/[3]_q! node by
     node, with no reference to the series formulas. Float64 by default; pass
     dps for a high-precision run (needed to resolve O(g^6) effects). Both stop
-    on a guaranteed tail bound or raise TruncationError (see _fj_quadrature).
+    on a guaranteed tail bound or raise TruncationError (see _fj_quadrature);
+    a g that is not finite is refused before either starts.
     """
+    gf = _finite(g)
     if dps is not None:
         if not isinstance(dps, int) or isinstance(dps, bool) or dps < 1:
             raise DomainError(f"dps must be a positive integer or None, got {dps!r}")
         return _fj_numeric_mp(g, q, trunc, dps)
-    qv, qf, gf, q_sq = q.value, q.as_float, float(g), q.squared
+    qv, qf, q_sq = q.value, q.as_float, q.squared
     bracket2, fact3 = _low_brackets(qf)
 
     def integrand(x):

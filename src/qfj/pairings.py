@@ -130,14 +130,6 @@ def weight_exponent_counts(n: int) -> Mapping[int, int]:
     if n == 0:
         return MappingProxyType({0: 1})
     _check_n(n)
-    size = 2 * n
-    # between[a][b] = bitmask of elements strictly between a and b (1-based, bit i-1)
-    between = [[0] * (size + 1) for _ in range(size + 1)]
-    for a in range(1, size + 1):
-        mask = 0
-        for b in range(a + 2, size + 1):
-            mask |= 1 << (b - 2)
-            between[a][b] = mask
     # memo[mask] = histogram as a list: entry w counts the ways to finish
     # pairing the elements of mask with weight exponent w
     memo: dict[int, list[int]] = {0: [1]}
@@ -148,12 +140,12 @@ def weight_exponent_counts(n: int) -> Mapping[int, int]:
             return counts
         counts = []
         a_bit = available & -available
-        a = a_bit.bit_length()
         rest = available ^ a_bit
         bb = rest
         while bb:
             b_bit = bb & -bb
-            gap = (available & between[a][b_bit.bit_length()]).bit_count()
+            # b_bit - (a_bit << 1) masks the elements strictly between a and b
+            gap = (available & (b_bit - (a_bit << 1))).bit_count()
             tail = finish(rest ^ b_bit)
             counts.extend([0] * (gap + len(tail) - len(counts)))   # [] if long enough
             for w, count in enumerate(tail, gap):
@@ -162,7 +154,7 @@ def weight_exponent_counts(n: int) -> Mapping[int, int]:
         memo[available] = counts
         return counts
 
-    return MappingProxyType({w: count for w, count in enumerate(finish((1 << size) - 1))
+    return MappingProxyType({w: count for w, count in enumerate(finish((1 << 2 * n) - 1))
                              if count})
 
 

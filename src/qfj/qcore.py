@@ -75,7 +75,11 @@ class QParam(Frozen):
 
     @cached_property
     def as_float(self) -> float:
-        return float(self.value)
+        value = float(self.value)
+        if not 0.0 < value < 1.0:
+            raise DomainError(f"q={self.value} rounds to {value!r} as a float, outside "
+                              "(0, 1); float routes cannot run there, use exact mode")
+        return value
 
     @cached_property
     def squared(self) -> "QParam":

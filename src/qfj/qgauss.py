@@ -287,6 +287,7 @@ def c_of_q(q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY,
     elif trunc.is_exact:
         total, used = _interchanged_nested(qv, 0, trunc.max_terms), trunc.max_terms
     else:
+        q.as_float                  # refuses a q with no float strictly inside (0, 1)
         value, used = _interchanged_c_mp(qv, trunc.max_terms)
         return NormalizationResult(None, float(value), method, used)
     if trunc.is_exact:

@@ -45,6 +45,18 @@ def test_invalid_q_exits_with_usage_error(bad_q):
     assert proc.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("cq", "--q", "1e-400"), ("moments", "--q", "1e-400"),
+    ("series", "--q", "1e-400", "--check", "numeric", "--float"),
+    ("cq", "--q", "0.99999999999999999999"), ("moments", "--q", "0.99999999999999999999"),
+])
+def test_q_with_no_float_inside_the_unit_interval_is_a_usage_error(args):
+    # each exited 1 with a traceback: log10(0.0), log1p(-1.0) or 1/(1 - 1.0)
+    proc = run_cli(*args, expect=2)
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("qfj: error: q=") and "use exact mode" in line
+
+
 @pytest.mark.parametrize("args", [("series", "--order", "-1"), ("moments", "--max-k", "-1")])
 def test_negative_order_exits_with_usage_error(args):
     proc = run_cli(*args, expect=2)

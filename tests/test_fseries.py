@@ -1,7 +1,8 @@
-"""Truncated power series, the weight-transfer coefficients, and the
+"""The weight-transfer coefficients, the integrand expansion, and the
 perturbative expansion of the cubic-deformed integral."""
 
 import hashlib
+import math
 import re
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ import hypothesis.strategies as st
 from qfj import fseries, qcalc, qgauss
 from qfj.errors import DomainError, EvaluationError, TruncationError
 from qfj.fseries import (
-    PowerSeries2,
     fj_blocks,
     fj_coefficient,
     fj_coefficient_via_moments,
@@ -26,14 +26,11 @@ from qfj.fseries import (
     lambda_oracle,
 )
 from qfj.qcalc import TruncationPolicy
-from qfj.qcore import (QParam, QPolynomial, q_double_factorial, q_factorial,
+from qfj.qcore import (QParam, QPolynomial, QScalar, q_double_factorial, q_factorial,
                        q_squared_factorial)
 from qfj.qgraphs import graph_sum_coefficient
 
 Q_HALF = QParam(Fraction(1, 2))
-
-ONE = Fraction(1)
-TWO = Fraction(2)
 
 q_params = st.fractions(min_value=Fraction(1, 8), max_value=Fraction(3, 4),
                         max_denominator=12).map(QParam)
@@ -129,16 +126,30 @@ SERIES_GS = [sign * g for sign in (1, -1)
                        Fraction(0), Fraction(1, 64), Fraction(1, 20), Fraction(1, 10))]
 
 
-class TestPowerSeries2:
-    def test_missing_coefficient_is_zero(self):
-        s = PowerSeries2({(0, 0): ONE, (1, 1): TWO}, 2)
-        assert s.coefficient(5, 5) == 0
+# the lambda tables: q far from and near 1, generic denominators, and
+# rectangles that are square, wide, tall and zero-width
+ORACLE_QS = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(137, 293),
+             Fraction(9, 10), Fraction(999, 1000), Fraction(5, 7)]
+ORACLE_RECTANGLES = [(0, 0), (1, 3), (4, 4), (6, 6), (8, 4), (3, 8), (8, 8)]
 
-    def test_product_drops_terms_beyond_total_degree(self):
-        s = PowerSeries2({(0, 0): ONE, (1, 1): TWO}, 2)
-        prod = s * s
-        assert sorted(prod.terms) == [(0, 0), (1, 1)]
-        assert prod.coefficient(1, 1) == 4
+
+def truncated_product_table(max_c, max_d, q):
+    """lambda_{c,d} on the rectangle by the generic truncated product of two
+    bivariate series to total degree max_c + max_d: the entire q^2-exponential
+    of x+y times the alternating plain one in x, every monomial pair formed."""
+    qv, degree = q.value, max_c + max_d
+    factorial = [q_squared_factorial(n).eval(qv) for n in range(degree + 1)]
+    numerator = {(a, n - a): qv ** (n * (n - 1)) * math.comb(n, a) / factorial[n]
+                 for n in range(degree + 1) for a in range(n + 1)}
+    reciprocal = {(a, 0): (-1) ** a / factorial[a] for a in range(degree + 1)}
+    product = {}
+    for (i1, j1), x in numerator.items():
+        for (i2, j2), y in reciprocal.items():
+            key = (i1 + i2, j1 + j2)
+            if sum(key) <= degree:
+                product[key] = product.get(key, 0) + x * y
+    return {(c, d): product.get((c, d), 0)
+            for c in range(max_c + 1) for d in range(max_d + 1)}
 
 
 class TestLambdaCoefficients:
@@ -161,6 +172,36 @@ class TestLambdaCoefficients:
                     if c + d > 4:
                         continue
                     assert table.lam(c, d) == lambda_closed_form(c, d, q), (c, d)
+
+    @pytest.mark.parametrize("max_c, max_d", ORACLE_RECTANGLES)
+    @pytest.mark.parametrize("qv", ORACLE_QS, ids=str)
+    def test_oracle_equals_the_generic_truncated_product(self, qv, max_c, max_d):
+        q = QParam(qv)
+        table = lambda_oracle(max_c, max_d, q)
+        assert (table.max_c, table.max_d) == (max_c, max_d)
+        assert table.values == truncated_product_table(max_c, max_d, q)
+        cells = [(c, d) for c in range(max_c + 1) for d in range(max_d + 1)]
+        assert all(type(table.lam(c, d)) is QScalar for c, d in cells)
+
+    @pytest.mark.parametrize("max_c, max_d", ORACLE_RECTANGLES)
+    @pytest.mark.parametrize("qv", ORACLE_QS, ids=str)
+    def test_closed_form_matches_the_oracle_on_the_whole_rectangle(self, qv, max_c, max_d):
+        q = QParam(qv)
+        table = lambda_oracle(max_c, max_d, q)
+        for c in range(max_c + 1):
+            for d in range(max_d + 1):
+                assert table.lam(c, d) == lambda_closed_form(c, d, q), (c, d)
+
+    def test_oracle_never_calls_the_closed_form(self, monkeypatch):
+        # the closed form's k-sum is what the oracle checks; it must not reuse it
+        def refuse(*args):
+            raise AssertionError("lambda_oracle reached the closed form")
+
+        monkeypatch.setattr(fseries, "_lambda_sum", refuse)
+        monkeypatch.setattr(fseries, "lambda_closed_form", refuse)
+        qv = Fraction(3, 7)
+        table = lambda_oracle(6, 6, QParam(qv))
+        assert table.lam(0, 2) == qv ** 2 / q_squared_factorial(2).eval(qv)
 
     def test_oracle_table_bounds(self):
         table = lambda_oracle(2, 2, Q_HALF)
@@ -378,14 +419,14 @@ class TestEvaluatedProducts:
 class TestIntegrandExpansion:
     def test_gzero_column_collapses_to_kernel(self):
         exp = integrand_expansion(0, 8, Q_HALF)
-        assert exp.coefficient(0, 0) == 1
-        assert exp.coefficient(2, 0) == 0
-        assert exp.coefficient(4, 0) == 0
+        assert exp.get((0, 0), 0) == 1
+        assert exp.get((2, 0), 0) == 0
+        assert exp.get((4, 0), 0) == 0
 
     def test_leading_cubic_coefficient(self):
         exp = integrand_expansion(2, 8, Q_HALF)
         want = Fraction(1) / q_factorial(3).eval(Q_HALF)
-        assert exp.coefficient(3, 1) == want
+        assert exp.get((3, 1), 0) == want
 
 
 class TestNumericEvaluation:
@@ -419,6 +460,19 @@ class TestNumericEvaluation:
         monkeypatch.setattr(fseries, "_entire_sum_fixed", lambda *args: calls.append(args))
         with pytest.raises(DomainError, match="dps must be a positive integer"):
             fj_numeric(Fraction(1, 20), Q_HALF, dps=dps)
+        assert calls == []
+
+    @pytest.mark.parametrize("dps", [None, 60])
+    @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coupling_is_refused_before_any_work(self, monkeypatch, g, dps):
+        # at dps=60 nan was scanned 0.1 s before a TruncationError, and inf
+        # leaked an OverflowError
+        calls = []
+        for name in ("c_of_q", "E_q", "_interchanged_c_mp", "_magnitude_scan",
+                     "_entire_sum_fixed"):
+            monkeypatch.setattr(fseries, name, lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(DomainError, match="must be finite"):
+            fj_numeric(g, Q_HALF, dps=dps)
         assert calls == []
 
     @pytest.mark.parametrize("dps", [30, 40, 60])

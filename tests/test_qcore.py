@@ -122,8 +122,8 @@ class TestQScalar:
         values = [fj_term(2, 1, 1, SITE_Q), graph_block_value(2, 2, 1, SITE_Q),
                   fj_series(4, SITE_Q, 4).eval(Fraction(1, 10)),
                   moment_by_integration(4, SITE_Q, SITE_EXACT),
-                  *integrand_expansion(2, 6, SITE_Q).terms.values(),
-                  *lambda_oracle(2, 2, SITE_Q).values.values()]     # a PowerSeries2 product
+                  *integrand_expansion(2, 6, SITE_Q).values(),
+                  *lambda_oracle(2, 2, SITE_Q).values.values()]
         assert all(type(value) is Fraction for value in values)
 
 

@@ -265,6 +265,17 @@ class TestNormalization:
         assert calls == []
         assert qgauss._node_kernels.entries == {}
 
+    @pytest.mark.parametrize("text", ["1e-400", "0.99999999999999999999"])
+    def test_q_whose_float_is_0_or_1_is_refused_by_float_routes_only(self, text):
+        # the float routes took log10(0.0), log1p(-1.0) or 1/(1 - 1.0)
+        q = QParam(Fraction(text))
+        for method in ("interchanged_sum", "double_sum"):
+            with pytest.raises(DomainError, match="use exact mode"):
+                c_of_q(q, DEFAULT_POLICY, method)
+        with pytest.raises(DomainError, match="use exact mode"):
+            moment_by_integration(2, q, DEFAULT_POLICY)
+        assert isinstance(c_of_q(q, TruncationPolicy.exact(8)).surd_value, QScalar)
+
     def test_classical_limit_approaches_sqrt_two_pi(self):
         gap_9 = abs(c_of_q(QParam(Fraction(9, 10)), DEFAULT_POLICY).float_value
                     - SQRT_TWO_PI)

@@ -3,6 +3,8 @@ repr, equality and hashing their users see."""
 
 import copy
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,9 +26,6 @@ CASES = [
     (qfj.NormalizationResult, (None, 2.5, "interchanged_sum", 40),
      "NormalizationResult(surd_value=None, float_value=2.5, method='interchanged_sum', "
      "terms_used=40)", "value"),
-    (qfj.PowerSeries2, ({(0, 0): Fraction(1), (1, 1): Fraction(2), (2, 1): Fraction(5)}, 2),
-     "PowerSeries2(terms={(0, 0): Fraction(1, 1), (1, 1): Fraction(2, 1)}, truncation=2)",
-     "identity"),
     (qfj.LambdaTable, ({(0, 0): Fraction(1)}, 0, 0),
      "LambdaTable(values={(0, 0): Fraction(1, 1)}, max_c=0, max_d=0)", "identity"),
     (qfj.OrderedPairing, (((1, 2),),), "OrderedPairing(pairs=((1, 2),))", "value"),
@@ -42,7 +41,6 @@ FIELDS = {
     qfj.TruncationPolicy: ("max_terms", "mode"),
     qfj.QuadratureResult: ("value", "terms_used", "residual"),
     qfj.NormalizationResult: ("surd_value", "float_value", "method", "terms_used"),
-    qfj.PowerSeries2: ("terms", "truncation"),
     qfj.LambdaTable: ("values", "max_c", "max_d"),
     qfj.OrderedPairing: ("pairs",),
     qfj.GraphEncoding: ("c", "dprime", "k", "sigma", "flag_pairing"),
@@ -100,3 +98,13 @@ def test_cached_views_survive_a_round_trip():
     assert q.squared == qfj.QParam(Fraction(9, 16))
     restored = pickle.loads(pickle.dumps(q))
     assert restored == q and restored.squared == q.squared and restored.as_float == 0.75
+
+
+def test_star_import_resolves_every_exported_name():
+    # a name left in __all__ after its object is gone breaks `from qfj import *`
+    code = ("import qfj\nfrom qfj import *\n"
+            "print([name for name in qfj.__all__ if name not in globals()])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
