@@ -14,7 +14,6 @@ import csv
 import datetime
 import io
 import json
-import math
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -24,7 +23,7 @@ from .errors import DomainError, QfjError, ResourceLimitError, TruncationError
 from .fseries import _ddf_at, fj_coefficient, fj_series, fj_term
 from .pairings import enumerate_pairings, weight, weighted_pairing_sum
 from .qcalc import TruncationPolicy
-from .qcore import QParam, QPolynomial, q_double_factorial
+from .qcore import QParam, QPolynomial, decimal_digits, index, q_double_factorial
 from .qgauss import _interchanged_log_terms, _interchanged_sum, c_of_q, moment_by_integration
 from .qgraphs import graph_block_value, graph_sum_coefficient
 from .suites import (MOMENT_TOLERANCE, SQRT_TWO_PI, SUITE_NAMES,
@@ -55,9 +54,7 @@ def _format_exact(value, hint=None):
         return str(value)
     except ValueError:
         parts = value.coefficients if isinstance(value, QPolynomial) else (value,)
-        largest = max(max(abs(p.numerator), p.denominator) for p in parts)
-        digits = int(largest.bit_length() * math.log10(2)) + 1     # at most one too many
-        digits -= largest < 10 ** (digits - 1)
+        digits = decimal_digits(max(max(abs(p.numerator), p.denominator) for p in parts))
         raise ResourceLimitError(
             f"an exact value has a {digits}-digit integer, over the interpreter's "
             f"{sys.get_int_max_str_digits()}-digit limit for printing one"
@@ -122,11 +119,9 @@ def _emit_records(records, args) -> None:
 
 
 def _cmd_moments(args, q: QParam, policy: TruncationPolicy):
-    if args.max_k < 0:
-        raise DomainError(f"--max-k must be non-negative, got {args.max_k}")
     records = []
     worst = 0.0
-    for k in range(args.max_k + 1):
+    for k in range(index(args.max_k, "--max-k") + 1):
         closed = _ddf_at(k // 2, q.value) if k % 2 == 0 else Fraction(0)
         quad = moment_by_integration(k, q, policy)
         residual = abs(quad - float(closed))
@@ -290,8 +285,6 @@ def _cmd_series(args, q: QParam, policy: TruncationPolicy):
 
 
 def _cmd_graphs(args, q: QParam, policy: TruncationPolicy):
-    if args.m % 2 != 0:
-        raise DomainError(f"g^{args.m} has no graphs; pick an even power")
     records = []
     if args.blocks:
         records = [_match_record("graph_block",
@@ -395,8 +388,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         q = _parse_q(args.q)
-        if args.max_terms < 1:
-            raise DomainError("--max-terms must be a positive integer")
         policy = TruncationPolicy(max_terms=args.max_terms)
         records, code = args.func(args, q, policy)
     except QfjError as exc:

@@ -17,7 +17,7 @@ from typing import Mapping
 from .errors import DomainError, EvaluationError, TruncationError
 from .qcalc import (DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, TruncationPolicy, E_q,
                     _entire_log_terms, _finite, _magnitude_scan, _needs)
-from .qcore import Frozen, QParam, QPolynomial, QScalar, binomial
+from .qcore import Frozen, QParam, QPolynomial, QScalar, index
 from .qgauss import PER_Q_CACHE_SIZE, _bounded_node_sum, _interchanged_c_mp, c_of_q
 
 
@@ -31,7 +31,7 @@ class LambdaTable(Frozen):
         self._set(values, max_c, max_d)
 
     def lam(self, c: int, d: int) -> QScalar:
-        if not (0 <= c <= self.max_c and 0 <= d <= self.max_d):
+        if index(c, "c") > self.max_c or index(d, "d") > self.max_d:
             raise DomainError(f"(c,d)=({c},{d}) outside table bounds "
                               f"({self.max_c},{self.max_d})")
         return QScalar(self.values.get((c, d), 0))
@@ -69,7 +69,7 @@ def _lambda_sum(c: int, d: int, qv: Fraction) -> Fraction:
     sum_k (-1)^(c-k) C(d+k,k) q^((d+k)(d+k-1)) / ([d+k]_{q^2}! [c-k]_{q^2}!)."""
     total = Fraction(0)
     for k in range(c + 1):
-        total += (Fraction((-1) ** (c - k) * binomial(d + k, k))
+        total += (Fraction((-1) ** (c - k) * math.comb(d + k, k))
                   * qv ** ((d + k) * (d + k - 1))
                   / (_qsq_factorial_at(d + k, qv) * _qsq_factorial_at(c - k, qv)))
     return total
@@ -81,9 +81,7 @@ def lambda_closed_form(c: int, d: int, q: QParam) -> QScalar:
     The k-sum telescopes to zero for d = 0, c >= 1 (only lambda_{0,0} = 1
     survives on that row), matching the series-division oracle.
     """
-    if c < 0 or d < 0:
-        raise DomainError("lambda indices must be non-negative")
-    return QScalar(_lambda_sum(c, d, q.value))
+    return QScalar(_lambda_sum(index(c, "c"), index(d, "d"), q.value))
 
 
 def lambda_oracle(max_c: int, max_d: int, q: QParam) -> LambdaTable:
@@ -96,15 +94,15 @@ def lambda_oracle(max_c: int, max_d: int, q: QParam) -> LambdaTable:
     each term q^(n(n-1)) C(n,a) / [n]_{q^2}! of x^a y^d (n = a + d) times
     each reciprocal term (-1)^r / [r]_{q^2}! with a + r <= max_c.
     """
-    if max_c < 0 or max_d < 0:
-        raise DomainError("table bounds must be non-negative")
+    index(max_c, "max_c")
+    index(max_d, "max_d")
     qv = q.value
     reciprocal = [(-1) ** r / _qsq_factorial_at(r, qv) for r in range(max_c + 1)]
     values = {(c, d): Fraction(0) for c in range(max_c + 1) for d in range(max_d + 1)}
     for a in range(max_c + 1):
         for d in range(max_d + 1):
             n = a + d
-            term = binomial(n, a) * qv ** (n * (n - 1)) / _qsq_factorial_at(n, qv)
+            term = math.comb(n, a) * qv ** (n * (n - 1)) / _qsq_factorial_at(n, qv)
             for r in range(max_c - a + 1):
                 values[a + r, d] += term * reciprocal[r]
     return LambdaTable(values, max_c, max_d)
@@ -123,11 +121,12 @@ def fj_term(c: int, k: int, d: int, q: QParam) -> Fraction:
     (-1)^k C(2d+k,k) q^((2d+k)(2d+k-1)+2c) [2(c+3d)-1]!!_q
     / ([2]_q^c ([3]_q!)^(2d) [2d+k]_{q^2}! [c-k]_{q^2}!).
     """
-    if not (0 <= k <= c) or d < 0:
-        raise DomainError(f"need 0 <= k <= c and d >= 0, got c={c}, k={k}, d={d}")
+    index(d, "d")
+    if index(k, "k") > index(c, "c"):
+        raise DomainError(f"need k <= c, got c={c}, k={k}")
     qv = q.value
     bracket2, fact3 = _low_brackets(qv)
-    numerator = (Fraction((-1) ** k * binomial(2 * d + k, k))
+    numerator = (Fraction((-1) ** k * math.comb(2 * d + k, k))
                  * qv ** ((2 * d + k) * (2 * d + k - 1) + 2 * c)
                  * _ddf_at(c + 3 * d, qv))
     denominator = (bracket2 ** c * fact3 ** (2 * d)
@@ -181,16 +180,21 @@ def _integer_blocks(d: int, qv: Fraction, max_c: int):
         yield a_pow[c] * lead * total, denominator, step
 
 
+def _series_indices(m: int, max_c: int) -> int:
+    """m, once m and max_c are checked as indices: the arguments of every
+    g^m coefficient summed over c <= max_c, here and in the graph sum."""
+    index(max_c, "max_c")
+    return index(m, "m")
+
+
 def fj_blocks(m: int, q: QParam, max_c: int) -> tuple[QScalar, ...]:
     """Per-c blocks (k summed out) of the g^m series coefficient, for even m.
 
     Exposed so callers can check stabilization of the partial sums over c;
     for m = 0 every block with c >= 1 is exactly zero.
     """
-    if m % 2 != 0 or m < 0:
+    if _series_indices(m, max_c) % 2 != 0:
         raise DomainError(f"blocks are defined for even m >= 0, got {m}")
-    if max_c < 0:
-        raise DomainError("max_c must be non-negative")
     return tuple(QScalar(numerator, denominator) for numerator, denominator, _
                  in _integer_blocks(m // 2, q.value, max_c))
 
@@ -202,11 +206,7 @@ def fj_coefficient(m: int, q: QParam, max_c: int = 12) -> QScalar:
     per-c blocks up to max_c, as integers over the last block's denominator,
     which every earlier one divides: one normalization. Always exact.
     """
-    if m < 0:
-        raise DomainError(f"series index must be non-negative, got {m}")
-    if max_c < 0:
-        raise DomainError("max_c must be non-negative")
-    if m % 2:
+    if _series_indices(m, max_c) % 2:
         return QScalar(0)
     total = denominator = 0
     for numerator, denominator, step in _integer_blocks(m // 2, q.value, max_c):
@@ -217,9 +217,8 @@ def fj_coefficient(m: int, q: QParam, max_c: int = 12) -> QScalar:
 def fj_series(order: int, q: QParam, max_c: int = 12) -> QPolynomial:
     """I(g) through g^order, as a polynomial in g. A zero top coefficient (odd
     order) is stripped, so read A_m by .coefficient(m)."""
-    if order < 0:
-        raise DomainError("order must be non-negative")
-    return QPolynomial(tuple(fj_coefficient(m, q, max_c) for m in range(order + 1)))
+    return QPolynomial(tuple(fj_coefficient(m, q, max_c)
+                             for m in range(index(order, "order") + 1)))
 
 
 def integrand_expansion(order_g: int, order_x: int,
@@ -234,8 +233,8 @@ def integrand_expansion(order_g: int, order_x: int,
     reproduces fj_coefficient; that resummation is the internal consistency
     route between the two printed forms of the series.
     """
-    if order_g < 0 or order_x < 0:
-        raise DomainError("expansion orders must be non-negative")
+    index(order_g, "order_g")
+    index(order_x, "order_x")
     qv = q.value
     brackets = _low_brackets(qv)
     terms = {(2 * c + 3 * d, d): _expansion_coefficient(c, d, qv, *brackets)
@@ -258,13 +257,9 @@ def fj_coefficient_via_moments(m: int, q: QParam, max_c: int = 12) -> QScalar:
     fj_coefficient at matched max_c; the two routes start from different
     printed forms, so the equality is a real cross-check.
     """
-    if m < 0:
-        raise DomainError(f"series index must be non-negative, got {m}")
-    if max_c < 0:
-        raise DomainError("max_c must be non-negative")
-    qv = q.value
-    if m % 2 == 1:
+    if _series_indices(m, max_c) % 2 == 1:
         return QScalar(0)
+    qv = q.value
     # only the g^m row of integrand_expansion(m, 2 max_c + 3m, q) contributes;
     # its x-powers 2c + 3m (c <= max_c) are all even
     brackets = _low_brackets(qv)
@@ -407,9 +402,7 @@ def fj_numeric(g, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY,
     """
     gf = _finite(g)
     if dps is not None:
-        if not isinstance(dps, int) or isinstance(dps, bool) or dps < 1:
-            raise DomainError(f"dps must be a positive integer or None, got {dps!r}")
-        return _fj_numeric_mp(g, q, trunc, dps)
+        return _fj_numeric_mp(g, q, trunc, index(dps, "dps", 1))
     qv, qf, q_sq = q.value, q.as_float, q.squared
     bracket2, fact3 = _low_brackets(qf)
 

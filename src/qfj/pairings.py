@@ -16,8 +16,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .errors import DomainError, ResourceLimitError, ValidationError
-from .qcore import Frozen, QPolynomial
+from .errors import ResourceLimitError, ValidationError
+from .qcore import Frozen, QPolynomial, index
 
 # Largest n enumerated: (2*8-1)!! = 2,027,025 pairings. It bounds every
 # function here and the qgraphs blocks; the histogram of
@@ -58,14 +58,14 @@ class OrderedPairing(Frozen):
         return "".join(f"({a},{b})" for a, b in self.pairs) or "()"
 
 
-def _check_n(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if n > DEFAULT_LIMIT:
+def _check_n(n: int, low: int = 1) -> int:
+    """n, once it is an index >= low within the enumeration limit."""
+    if index(n, "n", low) > DEFAULT_LIMIT:
         raise ResourceLimitError(
             f"n={n} exceeds the enumeration limit {DEFAULT_LIMIT} "
             f"({2 * DEFAULT_LIMIT} elements, "
             f"{math.prod(range(1, 2 * DEFAULT_LIMIT, 2))} pairings)")
+    return n
 
 
 def iter_pairings(n: int) -> Iterator[OrderedPairing]:
@@ -125,11 +125,8 @@ def weight_exponent_counts(n: int) -> Mapping[int, int]:
     this enumeration exists to check. Cached per n; n = 0 gives the
     empty-pairing histogram {0: 1}.
     """
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"n must be a non-negative integer, got {n!r}")
-    if n == 0:
+    if _check_n(n, 0) == 0:
         return MappingProxyType({0: 1})
-    _check_n(n)
     # memo[mask] = histogram as a list: entry w counts the ways to finish
     # pairing the elements of mask with weight exponent w
     memo: dict[int, list[int]] = {0: [1]}
@@ -163,8 +160,6 @@ def weighted_pairing_sum(n: int) -> QPolynomial:
 
     n = 0 is the empty pairing with weight 1, matching weight_exponent_counts.
     """
-    if n != 0:
-        _check_n(n)
     counts = weight_exponent_counts(n)
     coeffs = [0] * (max(counts) + 1)
     for exponent, count in counts.items():

@@ -19,7 +19,7 @@ from itertools import count, islice
 from typing import Callable, NamedTuple, Union
 
 from .errors import DivergenceError, DomainError, EvaluationError, TruncationError
-from .qcore import Frozen, QParam, QPolynomial, as_fraction
+from .qcore import Frozen, QParam, QPolynomial, as_fraction, index
 
 Real = Union[int, Fraction, float]
 
@@ -41,9 +41,7 @@ class TruncationPolicy(Frozen):
     def __init__(self, max_terms: int = 512, mode: str = "float"):
         if mode not in ("exact", "float"):
             raise DomainError(f"mode must be 'exact' or 'float', got {mode!r}")
-        if not isinstance(max_terms, int) or max_terms < 1:
-            raise DomainError("max_terms must be a positive integer")
-        self._set(max_terms, mode)
+        self._set(index(max_terms, "max_terms", 1), mode)
 
     @classmethod
     def exact(cls, max_terms: int) -> "TruncationPolicy":

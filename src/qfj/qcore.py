@@ -8,6 +8,7 @@ rounds on its own.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Union
@@ -30,6 +31,24 @@ def as_fraction(value, what: str = "value") -> Fraction:
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"cannot read {value!r} as an exact rational {what}") from exc
+
+
+def index(value, name: str, low: int = 0) -> int:
+    """value as an integer index at least low (0 or 1), or DomainError naming
+    the argument. A bool is refused although it is an int, and so is an
+    integral float: neither is a count."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= low:
+        return value
+    wanted = "a positive integer" if low else "non-negative and an integer"
+    raise DomainError(f"{name} must be {wanted}, got {value!r}")
+
+
+def decimal_digits(n: int) -> int:
+    """Number of decimal digits of n != 0, from its bit length: no int-to-str
+    conversion, which the interpreter limits to sys.get_int_max_str_digits()."""
+    n = abs(n)
+    digits = int(n.bit_length() * math.log10(2)) + 1     # at most one too many
+    return digits - (n < 10 ** (digits - 1))
 
 
 class Frozen:
@@ -69,6 +88,11 @@ class QParam(Frozen):
 
     def __init__(self, value: RationalLike):
         value = as_fraction(value, "q")
+        limit = sys.get_int_max_str_digits()
+        digits = decimal_digits(max(abs(value.numerator), value.denominator))
+        if limit and digits > limit:
+            raise DomainError(f"q has a {digits}-digit integer, over the interpreter's "
+                              f"{limit}-digit limit for printing one")
         if not (0 < value < 1):
             raise DomainError(f"q must satisfy 0 < q < 1, got {value}")
         self._set(value)
@@ -83,7 +107,11 @@ class QParam(Frozen):
 
     @cached_property
     def squared(self) -> "QParam":
-        return QParam(self.value * self.value)
+        # inside (0, 1) as q is; built past __init__, whose digit limit q^2
+        # may pass although q does not
+        square = object.__new__(QParam)
+        square._set(self.value * self.value)
+        return square
 
     def __str__(self) -> str:
         return str(self.value)
@@ -138,9 +166,7 @@ class QPolynomial(Frozen):
 
     @classmethod
     def monomial(cls, exponent: int, coefficient: RationalLike = 1) -> "QPolynomial":
-        if exponent < 0:
-            raise DomainError("monomial exponent must be non-negative")
-        return cls((Fraction(0),) * exponent + (as_fraction(coefficient),))
+        return cls((Fraction(0),) * index(exponent, "exponent") + (as_fraction(coefficient),))
 
     @property
     def degree(self) -> int:
@@ -191,8 +217,7 @@ class QPolynomial(Frozen):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise DomainError("polynomial powers must be non-negative integers")
+        index(n, "power")
         out = QPolynomial.one()
         base = self
         while n:
@@ -255,8 +280,7 @@ class QPolynomial(Frozen):
 
     def compose_power(self, k: int) -> "QPolynomial":
         """Substitute q -> q^k at the polynomial level."""
-        if not isinstance(k, int) or k < 1:
-            raise DomainError("compose_power expects a positive integer")
+        index(k, "k", 1)
         if self.is_zero():
             return self
         out = [Fraction(0)] * (self.degree * k + 1)
@@ -302,17 +326,13 @@ class QPolynomial(Frozen):
 
 def q_bracket(n: int) -> QPolynomial:
     """[n]_q = 1 + q + ... + q^(n-1); [0]_q is the zero polynomial."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"q_bracket expects a non-negative integer, got {n!r}")
-    return QPolynomial((Fraction(1),) * n)
+    return QPolynomial((Fraction(1),) * index(n, "n"))
 
 
 @lru_cache(maxsize=None)
 def q_factorial(n: int) -> QPolynomial:
     """[n]_q! = [n]_q [n-1]_q ... [2]_q [1]_q; empty product for n = 0."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"q_factorial expects a non-negative integer, got {n!r}")
-    if n == 0:
+    if index(n, "n") == 0:
         return QPolynomial.one()
     return q_factorial(n - 1) * q_bracket(n)
 
@@ -324,9 +344,7 @@ def q_double_factorial(n: int) -> QPolynomial:
     Indexed by the number of factors n (so n=2 gives [3]_q [1]_q), avoiding
     any off-by-one around the 2n-1 in the usual notation.
     """
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"q_double_factorial expects a non-negative integer, got {n!r}")
-    if n == 0:
+    if index(n, "n") == 0:
         return QPolynomial.one()
     return q_double_factorial(n - 1) * q_bracket(2 * n - 1)
 
@@ -338,8 +356,4 @@ def q_squared_factorial(n: int) -> QPolynomial:
 
 def binomial(n: int, k: int) -> int:
     """Ordinary binomial coefficient; 0 when k > n, error on negative input."""
-    if not isinstance(n, int) or not isinstance(k, int) or n < 0 or k < 0:
-        raise DomainError(f"binomial expects non-negative integers, got ({n!r}, {k!r})")
-    if k > n:
-        return 0
-    return math.comb(n, k)
+    return math.comb(index(n, "n"), index(k, "k"))

@@ -14,10 +14,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import DomainError, ResourceLimitError, ValidationError
-from .pairings import (DEFAULT_LIMIT, OrderedPairing, iter_pairings, weight,
-                       weight_exponent_counts)
-from .qcore import (Frozen, QParam, QPolynomial, QScalar, binomial, q_bracket,
+from .errors import DomainError, ValidationError
+from .fseries import _series_indices
+from .pairings import OrderedPairing, iter_pairings, weight, weight_exponent_counts
+from .qcore import (Frozen, QParam, QPolynomial, QScalar, binomial, index, q_bracket,
                     q_factorial, q_squared_factorial)
 
 
@@ -28,24 +28,20 @@ class GraphEncoding(Frozen):
 
     def __init__(self, c: int, dprime: int, k: int, sigma: tuple, flag_pairing: OrderedPairing):
         self._set(c, dprime, k, sigma, flag_pairing)
-        if self.c < 0 or self.dprime < 0:
-            raise ValidationError("c and dprime must be non-negative")
-        if self.dprime % 2 != 0:
-            raise ValidationError(
-                f"dprime must be even (odd powers of g vanish), got {self.dprime}")
-        if not (0 <= self.k <= self.c):
-            raise ValidationError(f"need 0 <= k <= c, got k={self.k}, c={self.c}")
-        slots = self.dprime + self.k
-        if len(self.sigma) != self.k:
-            raise ValidationError(f"sigma must pick exactly k={self.k} slots")
-        if any(not (1 <= s <= slots) for s in self.sigma):
+        try:
+            flags = _block_flags(c, dprime, k)
+        except DomainError as exc:
+            raise ValidationError(str(exc)) from None
+        slots = dprime + k
+        if len(sigma) != k:
+            raise ValidationError(f"sigma must pick exactly k={k} slots")
+        if any(not (1 <= s <= slots) for s in sigma):
             raise ValidationError(f"sigma entries must lie in 1..{slots}")
-        if any(a >= b for a, b in zip(self.sigma, self.sigma[1:])):
+        if any(a >= b for a, b in zip(sigma, sigma[1:])):
             raise ValidationError("sigma must be strictly increasing")
-        flags = 2 * self.c + 3 * self.dprime
-        if self.flag_pairing.size != flags:
+        if flag_pairing.size != flags:
             raise ValidationError(
-                f"pairing covers {self.flag_pairing.size} flags, expected {flags}")
+                f"pairing covers {flag_pairing.size} flags, expected {flags}")
 
     @property
     def flags(self) -> int:
@@ -54,18 +50,12 @@ class GraphEncoding(Frozen):
 
 def _block_flags(c: int, dprime: int, k: int) -> int:
     """Flag count 2c+3*dprime of the (c, dprime, k) block, once its indices
-    are checked and its pairings fit the enumeration limit."""
-    if c < 0 or dprime < 0 or not (0 <= k <= c):
-        raise DomainError(f"need c >= 0, dprime >= 0, 0 <= k <= c; "
-                          f"got c={c}, dprime={dprime}, k={k}")
-    if dprime % 2 != 0:
-        raise DomainError(f"dprime must be even, got {dprime}")
-    flags = 2 * c + 3 * dprime
-    if flags // 2 > DEFAULT_LIMIT:
-        raise ResourceLimitError(
-            f"block (c={c}, dprime={dprime}) has {flags} flags, beyond the "
-            f"pairing limit of {2 * DEFAULT_LIMIT} elements")
-    return flags
+    are checked; pairing the flags checks the enumeration limit."""
+    if index(k, "k") > index(c, "c"):
+        raise DomainError(f"need k <= c, got k={k}, c={c}")
+    if index(dprime, "dprime") % 2 != 0:
+        raise DomainError(f"dprime must be even (odd powers of g vanish), got {dprime}")
+    return 2 * c + 3 * dprime
 
 
 def enumerate_graphs(c: int, dprime: int, k: int) -> list[GraphEncoding]:
@@ -76,11 +66,8 @@ def enumerate_graphs(c: int, dprime: int, k: int) -> list[GraphEncoding]:
     the objects.
     """
     flags = _block_flags(c, dprime, k)
+    pairing_list = list(iter_pairings(flags // 2)) if flags else [OrderedPairing(())]
     sigmas = list(itertools.combinations(range(1, dprime + k + 1), k))
-    if flags == 0:
-        pairing_list = [OrderedPairing(())]
-    else:
-        pairing_list = list(iter_pairings(flags // 2))
     return [GraphEncoding(c, dprime, k, sigma, pairing)
             for sigma in sigmas for pairing in pairing_list]
 
@@ -130,12 +117,8 @@ def graph_sum_coefficient(m: int, q: QParam, max_c: int = 4) -> QScalar:
     Matches fj_coefficient(m, q, max_c) exactly term by term when both use
     the same max_c. Odd m has no graphs (odd flag count cannot be paired).
     """
-    if m < 0:
-        raise DomainError(f"series index must be non-negative, got {m}")
-    if m % 2 == 1:
+    if _series_indices(m, max_c) % 2 == 1:
         raise DomainError(
             f"g^{m} has no graphs: 2c+3m is odd, so the flags cannot be paired")
-    if max_c < 0:
-        raise DomainError("max_c must be non-negative")
     return QScalar(sum(graph_block_value(c, m, k, q)
                        for c in range(max_c + 1) for k in range(c + 1)))

@@ -64,6 +64,18 @@ def test_negative_order_exits_with_usage_error(args):
     assert "must be non-negative" in proc.stderr
 
 
+@pytest.mark.parametrize("args, phrase", [
+    (("moments", "--q", "1e-5000"), "q has a 5001-digit integer"),
+    (("cq", "--max-terms", "0"), "max_terms must be a positive integer"),
+])
+def test_bad_input_exits_with_one_error_line(args, phrase):
+    # 1e-5000 exited 1 with a ValueError traceback from str(q)
+    proc = run_cli(*args, expect=2)
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("qfj: error: ") and phrase in line
+
+
 class TestMoments:
     def test_records_and_exact_values(self):
         proc = run_cli("moments", "--max-k", "4", "--q", "1/2", "--reproducible")

@@ -306,6 +306,11 @@ class TestSeriesCoefficients:
         assert fj_coefficient_via_moments(4, q, 2) == fj_coefficient(4, q, 2)
         assert {"_lambda_sum", "_ddf_at", "_qsq_factorial_at"} <= set(calls)
 
+    def test_non_integer_series_index_is_refused_not_zero(self):
+        # 2.5 % 2 is truthy, so the odd-m branch returned an exact 0
+        with pytest.raises(DomainError, match="m must be non-negative and an integer, got 2.5"):
+            fj_coefficient(2.5, QParam(Fraction(1, 2)))
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_negative_max_c_is_refused(self, m):
         q = QParam(Fraction(1, 2))

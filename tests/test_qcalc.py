@@ -59,6 +59,11 @@ class TestTruncationPolicy:
         with pytest.raises(DomainError):
             TruncationPolicy(max_terms=0)
 
+    def test_bool_budget_is_refused(self):
+        # True passed as a one-term budget
+        with pytest.raises(DomainError, match="max_terms must be a positive integer, got True"):
+            TruncationPolicy(True)
+
     def test_exact_constructor(self):
         pol = TruncationPolicy.exact(64)
         assert pol.is_exact

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from qfj.errors import DomainError, ValidationError
-from qfj.fseries import (fj_blocks, fj_coefficient, fj_coefficient_via_moments, fj_series,
-                         fj_term, integrand_expansion, lambda_closed_form, lambda_oracle)
+from qfj.fseries import (fj_blocks, fj_coefficient, fj_coefficient_via_moments, fj_numeric,
+                         fj_series, fj_term, integrand_expansion, lambda_closed_form,
+                         lambda_oracle)
+from qfj.pairings import enumerate_pairings, weight_exponent_counts, weighted_pairing_sum
 from qfj.qcalc import TruncationPolicy
 from qfj.qcore import (
     QParam,
@@ -18,13 +21,14 @@ from qfj.qcore import (
     QScalar,
     as_fraction,
     binomial,
+    decimal_digits,
     q_bracket,
     q_double_factorial,
     q_factorial,
     q_squared_factorial,
 )
-from qfj.qgauss import c_of_q, moment_by_integration
-from qfj.qgraphs import graph_block_value, graph_sum_coefficient
+from qfj.qgauss import c_of_q, moment_by_integration, moment_closed_form
+from qfj.qgraphs import enumerate_graphs, graph_block_value, graph_sum_coefficient
 
 HALF = Fraction(1, 2)
 
@@ -46,6 +50,55 @@ RATIONAL_PART_SITES = {
                        for method in ("interchanged_sum", "double_sum")],
 }
 
+# every public entry point that takes an integer index, one case per index
+# argument: (argument name, call with the index set to i). Each call is valid
+# at i = 2.
+INDEX_SITES = {
+    "monomial": ("exponent", lambda i: QPolynomial.monomial(i)),
+    "power": ("power", lambda i: q_bracket(2) ** i),
+    "compose_power": ("k", lambda i: q_bracket(2).compose_power(i)),
+    "q_bracket": ("n", q_bracket),
+    "q_factorial": ("n", q_factorial),
+    "q_double_factorial": ("n", q_double_factorial),
+    "binomial n": ("n", lambda i: binomial(i, 1)),
+    "binomial k": ("k", lambda i: binomial(3, i)),
+    "TruncationPolicy": ("max_terms", TruncationPolicy),
+    "moment_closed_form": ("n", moment_closed_form),
+    "moment_by_integration": ("k", lambda i: moment_by_integration(i, SITE_Q)),
+    "enumerate_pairings": ("n", enumerate_pairings),
+    "weight_exponent_counts": ("n", weight_exponent_counts),
+    "weighted_pairing_sum": ("n", weighted_pairing_sum),
+    "lambda_closed_form c": ("c", lambda i: lambda_closed_form(i, 1, SITE_Q)),
+    "lambda_closed_form d": ("d", lambda i: lambda_closed_form(1, i, SITE_Q)),
+    "lambda_oracle max_c": ("max_c", lambda i: lambda_oracle(i, 1, SITE_Q)),
+    "lambda_oracle max_d": ("max_d", lambda i: lambda_oracle(1, i, SITE_Q)),
+    "LambdaTable.lam c": ("c", lambda i: lambda_oracle(2, 2, SITE_Q).lam(i, 0)),
+    "LambdaTable.lam d": ("d", lambda i: lambda_oracle(2, 2, SITE_Q).lam(0, i)),
+    "fj_term c": ("c", lambda i: fj_term(i, 0, 1, SITE_Q)),
+    "fj_term k": ("k", lambda i: fj_term(2, i, 1, SITE_Q)),
+    "fj_term d": ("d", lambda i: fj_term(1, 0, i, SITE_Q)),
+    "fj_blocks m": ("m", lambda i: fj_blocks(i, SITE_Q, 4)),
+    "fj_blocks max_c": ("max_c", lambda i: fj_blocks(2, SITE_Q, i)),
+    "fj_coefficient m": ("m", lambda i: fj_coefficient(i, SITE_Q, 4)),
+    "fj_coefficient max_c": ("max_c", lambda i: fj_coefficient(2, SITE_Q, i)),
+    "fj_series order": ("order", lambda i: fj_series(i, SITE_Q, 4)),
+    "fj_series max_c": ("max_c", lambda i: fj_series(2, SITE_Q, i)),
+    "integrand_expansion order_g": ("order_g", lambda i: integrand_expansion(i, 4, SITE_Q)),
+    "integrand_expansion order_x": ("order_x", lambda i: integrand_expansion(2, i, SITE_Q)),
+    "fj_coefficient_via_moments m": ("m", lambda i: fj_coefficient_via_moments(i, SITE_Q, 4)),
+    "fj_coefficient_via_moments max_c": ("max_c",
+                                         lambda i: fj_coefficient_via_moments(2, SITE_Q, i)),
+    "fj_numeric dps": ("dps", lambda i: fj_numeric(Fraction(1, 20), SITE_Q, dps=i)),
+    "enumerate_graphs c": ("c", lambda i: enumerate_graphs(i, 0, 0)),
+    "enumerate_graphs dprime": ("dprime", lambda i: enumerate_graphs(1, i, 0)),
+    "enumerate_graphs k": ("k", lambda i: enumerate_graphs(2, 0, i)),
+    "graph_block_value c": ("c", lambda i: graph_block_value(i, 0, 0, SITE_Q)),
+    "graph_block_value dprime": ("dprime", lambda i: graph_block_value(1, i, 0, SITE_Q)),
+    "graph_block_value k": ("k", lambda i: graph_block_value(2, 0, i, SITE_Q)),
+    "graph_sum_coefficient m": ("m", lambda i: graph_sum_coefficient(i, SITE_Q, 2)),
+    "graph_sum_coefficient max_c": ("max_c", lambda i: graph_sum_coefficient(2, SITE_Q, i)),
+}
+
 q_values = st.fractions(min_value=Fraction(1, 16), max_value=Fraction(15, 16),
                         max_denominator=32)
 
@@ -65,6 +118,41 @@ def test_as_fraction_rejects_floats():
 def test_qparam_requires_open_unit_interval(bad):
     with pytest.raises(DomainError):
         QParam(bad)
+
+
+def test_qparam_refuses_integers_past_the_str_limit():
+    # 1e-5000 exited the CLI with a ValueError traceback from str(q)
+    limit = sys.get_int_max_str_digits()
+    assert QParam(Fraction(1, 10 ** (limit - 1))).value.denominator == 10 ** (limit - 1)
+    for value, digits in ((Fraction(1, 10 ** limit), limit + 1),
+                          (Fraction(10 ** (limit + 3) - 1, 10 ** (limit + 3)), limit + 4)):
+        with pytest.raises(DomainError, match=f"q has a {digits}-digit integer"):
+            QParam(value)
+    # the float routes square q: q^2 may pass the limit although q does not
+    small = Fraction(1, 10 ** (limit // 2 + 1))
+    assert QParam(small).squared.value == small * small
+
+
+def test_qparam_takes_any_integer_without_a_str_limit(monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    assert QParam(Fraction(1, 10 ** 5000)).value == Fraction(1, 10 ** 5000)
+
+
+def test_decimal_digits_counts_without_str():
+    for n in (1, 9, 10, 99, 100, 2 ** 64, 10 ** 400 - 1, 10 ** 400, -(10 ** 50)):
+        assert decimal_digits(n) == len(str(abs(n)))
+
+
+@pytest.mark.parametrize("site", INDEX_SITES)
+@pytest.mark.parametrize("bad", [True, 2.5, 2.0, -1])
+def test_every_index_argument_is_refused_unless_an_int(site, bad):
+    # bools passed as ints, and 2.5 gave 0 from the series coefficients and a
+    # bare TypeError elsewhere; the call with 2 first warms any lru_cache, so
+    # 2.0 and True are refused even where they hash like a cached int
+    name, call = INDEX_SITES[site]
+    call(2)
+    with pytest.raises(DomainError, match=f"^{name} must be (non-negative|a positive integer)"):
+        call(bad)
 
 
 def test_qparam_float_view():

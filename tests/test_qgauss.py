@@ -506,6 +506,11 @@ class TestMoments:
         with pytest.raises(DomainError):
             moment_by_integration(-1, Q_HALF, DEFAULT_POLICY)
 
+    def test_bool_moment_index_is_refused(self):
+        # True passed as the odd index 1 and returned 0.0
+        with pytest.raises(DomainError, match="k must be non-negative and an integer, got True"):
+            moment_by_integration(True, Q_HALF, DEFAULT_POLICY)
+
     def test_exact_mode_returns_rational_close_to_closed_form(self):
         got = moment_by_integration(4, Q_HALF, TruncationPolicy.exact(128))
         gap = got - Fraction(7, 4)

@@ -33,6 +33,8 @@ class TestGraphEncoding:
         dict(c=1, dprime=0, k=1, sigma=(), pairing=((1, 2),)),
         dict(c=1, dprime=0, k=1, sigma=(5,), pairing=((1, 2),)),
         dict(c=1, dprime=0, k=0, sigma=(), pairing=((1, 2), (3, 4))),
+        dict(c=2.0, dprime=0, k=0, sigma=(), pairing=((1, 2), (3, 4))),   # was accepted
+        dict(c=True, dprime=0, k=0, sigma=(), pairing=((1, 2),)),          # was accepted
     ])
     def test_inconsistent_encodings_rejected(self, kwargs):
         pairing = OrderedPairing(kwargs.pop("pairing"))
