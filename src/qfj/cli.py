@@ -10,24 +10,17 @@ non-deterministic content, the timestamp envelope, is dropped.
 from __future__ import annotations
 
 import argparse
-import csv
-import datetime
 import io
 import json
 import sys
 from fractions import Fraction
 from itertools import islice
 
-from . import __version__
+# the layers a command needs load when it first reads them (see qfj/__init__.py)
+from . import SUITE_NAMES, __version__, fseries, pairings, qgauss, qgraphs, suites
 from .errors import DomainError, QfjError, ResourceLimitError, TruncationError
-from .fseries import _ddf_at, fj_coefficient, fj_series, fj_term
-from .pairings import enumerate_pairings, weight, weighted_pairing_sum
 from .qcalc import TruncationPolicy
 from .qcore import QParam, QPolynomial, decimal_digits, index, q_double_factorial
-from .qgauss import _interchanged_log_terms, _interchanged_sum, c_of_q, moment_by_integration
-from .qgraphs import graph_block_value, graph_sum_coefficient
-from .suites import (MOMENT_TOLERANCE, SQRT_TWO_PI, SUITE_NAMES,
-                     g2_by_finite_difference, run_suite)
 
 RECORD_FIELDS = ("quantity", "inputs", "exact_value", "float_value",
                  "truncation_terms_used", "residual", "suite_pass")
@@ -93,15 +86,19 @@ def _csv_cell(value):
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
 
 
 def _emit_records(records, args) -> None:
     if args.format == "json":
         lines = []
         if not args.reproducible:
+            import datetime
             stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
             lines.append(json.dumps(
                 {"meta": {"tool": "qfj", "version": __version__, "generated_at": stamp}},
@@ -110,6 +107,7 @@ def _emit_records(records, args) -> None:
             lines.append(json.dumps(record, separators=(",", ":")))
         _write_output("".join(line + "\n" for line in lines), args.out)
     else:
+        import csv
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow(RECORD_FIELDS)
@@ -122,8 +120,8 @@ def _cmd_moments(args, q: QParam, policy: TruncationPolicy):
     records = []
     worst = 0.0
     for k in range(index(args.max_k, "--max-k") + 1):
-        closed = _ddf_at(k // 2, q.value) if k % 2 == 0 else Fraction(0)
-        quad = moment_by_integration(k, q, policy)
+        closed = fseries._ddf_at(k // 2, q.value) if k % 2 == 0 else Fraction(0)
+        quad = qgauss.moment_by_integration(k, q, policy)
         residual = abs(quad - float(closed))
         worst = max(worst, residual)
         records.append(_record(
@@ -133,7 +131,7 @@ def _cmd_moments(args, q: QParam, policy: TruncationPolicy):
             float_value=quad,
             residual=residual,
         ))
-    return records, 1 if args.check and worst > MOMENT_TOLERANCE else 0
+    return records, 1 if args.check and worst > qgauss.MOMENT_TOLERANCE else 0
 
 
 def _cq_sweep(args, policy: TruncationPolicy):
@@ -146,14 +144,15 @@ def _cq_sweep(args, policy: TruncationPolicy):
             "with exact rational endpoints, like 0.5:0.99:10") from exc
     if count < 2:
         raise DomainError("sweep count must be at least 2")
+    import csv
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["q", f"c_q[max_terms={policy.max_terms}]", "sqrt_2pi"])
     for i in range(count):
         qv = start + (stop - start) * i / (count - 1)
-        result = c_of_q(QParam(qv), policy)
+        result = qgauss.c_of_q(QParam(qv), policy)
         writer.writerow([f"{float(qv):.17g}", f"{result.float_value:.17g}",
-                         f"{SQRT_TWO_PI:.17g}"])
+                         f"{qgauss.SQRT_TWO_PI:.17g}"])
     _write_output(buffer.getvalue(), args.out)
     return None, 0
 
@@ -168,14 +167,14 @@ def _exact_cq_annotation(q: QParam, policy: TruncationPolicy, reference: float):
     int-to-str conversion limit near q = 1). A rung whose fixed-point sum
     (at _interchanged_c_mp's precision) misses by twice the bound is skipped.
     """
-    dps = int(max(islice(_interchanged_log_terms(q.as_float), 64))) + 60
+    dps = int(max(islice(qgauss._interchanged_log_terms(q.as_float), 64))) + 60
     for terms in (8, 12, 16, 24, 32, 48, 64):
         if terms > policy.max_terms:
             break
-        if abs(float(_interchanged_sum(q.value, terms, dps)) - reference) > (
+        if abs(float(qgauss._interchanged_sum(q.value, terms, dps)) - reference) > (
                 2 * EXACT_CQ_FAITHFUL_REL * reference):
             continue
-        result = c_of_q(q, TruncationPolicy.exact(terms))
+        result = qgauss.c_of_q(q, TruncationPolicy.exact(terms))
         if abs(result.float_value - reference) >= EXACT_CQ_FAITHFUL_REL * reference:
             continue
         r = result.surd_value
@@ -189,9 +188,9 @@ def _cmd_cq(args, q: QParam, policy: TruncationPolicy):
     if args.sweep:
         return _cq_sweep(args, policy)
     records = []
-    interchanged = c_of_q(q, policy, "interchanged_sum")
+    interchanged = qgauss.c_of_q(q, policy, "interchanged_sum")
     try:
-        double = c_of_q(q, policy, "double_sum")
+        double = qgauss.c_of_q(q, policy, "double_sum")
     except TruncationError as exc:
         # the node-by-node route needs ~1/(1-q) times more terms than the
         # production route; report it as unconverged instead of failing the
@@ -218,22 +217,22 @@ def _cmd_cq(args, q: QParam, policy: TruncationPolicy):
         else abs(interchanged.float_value - double.float_value)))
     records.append(_record(
         "c_q_classical_gap", {"q": str(q)},
-        float_value=abs(interchanged.float_value - SQRT_TWO_PI)))
+        float_value=abs(interchanged.float_value - qgauss.SQRT_TWO_PI)))
     return records, 0
 
 
 def _cmd_pairings(args, q: QParam, policy: TruncationPolicy):
     records = []
     if args.list:
-        for index, pairing in enumerate(enumerate_pairings(args.n)):
-            mono = weight(pairing)
+        for index, pairing in enumerate(pairings.enumerate_pairings(args.n)):
+            mono = pairings.weight(pairing)
             records.append(_record(
                 "pairing_weight",
                 {"n": args.n, "index": index, "pairing": str(pairing), "q": str(q)},
                 exact_value=_format_exact(mono),
                 float_value=mono.eval(q.as_float),
             ))
-    total = weighted_pairing_sum(args.n)
+    total = pairings.weighted_pairing_sum(args.n)
     target = q_double_factorial(args.n)
     records.append(_record(
         "weighted_pairing_sum", {"n": args.n, "q": str(q)},
@@ -248,7 +247,7 @@ def _cmd_pairings(args, q: QParam, policy: TruncationPolicy):
 
 def _cmd_series(args, q: QParam, policy: TruncationPolicy):
     records = []
-    series = fj_series(args.order, q, args.max_c)
+    series = fseries.fj_series(args.order, q, args.max_c)
     for m in range(args.order + 1):
         coefficient = series.coefficient(m)
         records.append(_record(
@@ -261,8 +260,8 @@ def _cmd_series(args, q: QParam, policy: TruncationPolicy):
     code = 0
     if args.check == "numeric":
         h = 5e-3
-        estimate = g2_by_finite_difference(q, policy, h)
-        target = float(fj_coefficient(2, q, args.max_c))
+        estimate = suites.g2_by_finite_difference(q, policy, h)
+        target = float(fseries.fj_coefficient(2, q, args.max_c))
         err = abs(estimate - target)
         passed = err < NUMERIC_CHECK_TOLERANCE
         records.append(_record(
@@ -276,8 +275,8 @@ def _cmd_series(args, q: QParam, policy: TruncationPolicy):
     elif args.check == "graphs":
         max_c = min(args.max_c, 4)
         checks = [_match_record("series_graph_check", {"m": m, "q": str(q), "max_c": max_c},
-                                graph_sum_coefficient(m, q, max_c),
-                                fj_coefficient(m, q, max_c))
+                                qgraphs.graph_sum_coefficient(m, q, max_c),
+                                fseries.fj_coefficient(m, q, max_c))
                   for m in (0, 2)]
         records.extend(checks)
         code = 0 if all(r["suite_pass"] for r in checks) else 1
@@ -289,18 +288,18 @@ def _cmd_graphs(args, q: QParam, policy: TruncationPolicy):
     if args.blocks:
         records = [_match_record("graph_block",
                                  {"c": c, "dprime": args.m, "k": k, "q": str(q)},
-                                 graph_block_value(c, args.m, k, q),
-                                 fj_term(c, k, args.m // 2, q))
+                                 qgraphs.graph_block_value(c, args.m, k, q),
+                                 fseries.fj_term(c, k, args.m // 2, q))
                    for c in range(args.max_c + 1) for k in range(c + 1)]
     records.append(_match_record(
         "graph_sum_coefficient", {"m": args.m, "q": str(q), "max_c": args.max_c},
-        graph_sum_coefficient(args.m, q, args.max_c),
-        fj_coefficient(args.m, q, args.max_c)))
+        qgraphs.graph_sum_coefficient(args.m, q, args.max_c),
+        fseries.fj_coefficient(args.m, q, args.max_c)))
     return records, 0 if all(r["suite_pass"] for r in records) else 1
 
 
 def _cmd_verify(args, q: QParam, policy: TruncationPolicy):
-    results = run_suite(args.suite, q, policy)
+    results = suites.run_suite(args.suite, q, policy)
     records = []
     for check in results:
         records.append(_record(
@@ -390,11 +389,11 @@ def main(argv=None) -> int:
         q = _parse_q(args.q)
         policy = TruncationPolicy(max_terms=args.max_terms)
         records, code = args.func(args, q, policy)
+        if records is not None:
+            _emit_records(records, args)
     except QfjError as exc:
         print(f"qfj: error: {exc}", file=sys.stderr)
         return 2
-    if records is not None:
-        _emit_records(records, args)
     return code
 
 

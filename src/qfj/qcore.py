@@ -173,7 +173,7 @@ class QPolynomial(Frozen):
         return len(self.coefficients) - 1
 
     def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coefficients):
+        if index(i, "i") < len(self.coefficients):
             return self.coefficients[i]
         return Fraction(0)
 
@@ -187,9 +187,10 @@ class QPolynomial(Frozen):
         return QPolynomial((as_fraction(other, "operand"),))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coefficients), len(other.coefficients))
-        return QPolynomial(tuple(self.coefficient(i) + other.coefficient(i) for i in range(n)))
+        a, b = self.coefficients, self._coerce(other).coefficients
+        if len(a) < len(b):
+            a, b = b, a
+        return QPolynomial(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
 
     __radd__ = __add__
 

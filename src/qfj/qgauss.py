@@ -25,6 +25,8 @@ from .qcore import QParam, QScalar, as_fraction, index, q_double_factorial, QPol
 
 PER_Q_CACHE_SIZE = 256  # entries in each per-q memo: a few q values' worth
 NODE_KERNEL_DOUBLES = 1 << 20  # floats held by _node_kernels in all: 8 MiB
+SQRT_TWO_PI = math.sqrt(2.0 * math.pi)  # c(q) at the classical limit q -> 1
+MOMENT_TOLERANCE = 1e-8  # quadrature moments and their ratios vs closed forms
 
 
 def kernel_eval_x2(x_squared, q: QParam,

@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import SUITE_NAMES
 from .errors import DomainError, TruncationError
 from .fseries import (fj_blocks, fj_coefficient, fj_coefficient_via_moments,
                       fj_numeric, fj_series, fj_term, lambda_closed_form,
@@ -22,17 +23,14 @@ from .pairings import (OrderedPairing, enumerate_pairings, weight,
 from .qcalc import (DEFAULT_POLICY, E_q, TruncationPolicy, XPoly, e_q,
                     jackson_integral)
 from .qcore import QParam, q_bracket, q_double_factorial, q_factorial
-from .qgauss import c_of_q, kernel_eval, moment_by_integration, moment_closed_form
+from .qgauss import (MOMENT_TOLERANCE, SQRT_TWO_PI, c_of_q, kernel_eval,
+                     moment_by_integration, moment_closed_form)
 from .qgraphs import graph_block_value, graph_sum_coefficient
 
-SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-MOMENT_TOLERANCE = 1e-8  # quadrature moments and their ratios vs closed forms
 CLASSICAL_PROBES = (Fraction(9, 10), Fraction(99, 100))  # q -> 1 trend points
 # _series_max_c grows without bound as q -> 1 (828 at q = 99/100 for base 12),
 # and a series coefficient's cost grows faster than linearly in max_c
 MAX_C_CAP = 60
-
-SUITE_NAMES = ("qcalc", "gauss", "pairings", "lambda", "series", "graphs", "all")
 
 
 class CheckResult(NamedTuple):

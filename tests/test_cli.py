@@ -67,9 +67,14 @@ def test_negative_order_exits_with_usage_error(args):
 @pytest.mark.parametrize("args, phrase", [
     (("moments", "--q", "1e-5000"), "q has a 5001-digit integer"),
     (("cq", "--max-terms", "0"), "max_terms must be a positive integer"),
+    (("moments", "--out", "/nonexistent/dir/x.json"),
+     "cannot write --out /nonexistent/dir/x.json: No such file or directory"),
+    (("cq", "--sweep", "1/2:3/4:2", "--out", "/nonexistent/dir/x.csv"),
+     "cannot write --out /nonexistent/dir/x.csv: No such file or directory"),
 ])
 def test_bad_input_exits_with_one_error_line(args, phrase):
-    # 1e-5000 exited 1 with a ValueError traceback from str(q)
+    # 1e-5000 exited 1 with a ValueError traceback from str(q), and an
+    # unwritable --out with a FileNotFoundError traceback
     proc = run_cli(*args, expect=2)
     assert proc.stdout == ""
     [line] = proc.stderr.splitlines()
@@ -336,6 +341,41 @@ def test_cold_import_loads_every_layer_and_no_heavy_module():
                           timeout=60, check=True)
     layers = ("qcore", "qcalc", "qgauss", "pairings", "fseries", "qgraphs", "suites", "cli")
     assert set(proc.stdout.split()) == {f"qfj.{layer}" for layer in layers} | {"qfj.errors"}
+
+
+LAYER_PROBE = """
+import contextlib, io, sys, types
+import qfj.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        qfj.cli.main(sys.argv[1:] + ["--reproducible"])
+# a layer that never ran still has the lazy loader's module type; type() reads
+# it without loading the module
+print(" ".join(sorted(name for name, module in sys.modules.items()
+                      if name.startswith("qfj.") and type(module) is types.ModuleType)))
+"""
+
+EAGER = {"qfj.errors", "qfj.qcore", "qfj.qcalc", "qfj.cli"}
+
+
+# the perfbench cli_cold commands, and a bare import
+@pytest.mark.parametrize("command, layers", [
+    ("", set()),
+    ("pairings --n 7", {"pairings"}),
+    ("cq --q 999/1000 --max-terms 2048", {"qgauss"}),
+    ("cq --sweep 1/2:99/100:8 --format csv", {"qgauss"}),
+    ("moments --max-k 10", {"qgauss", "fseries"}),
+    ("series --order 8 --max-c 36", {"qgauss", "fseries"}),
+    ("graphs --m 4 --max-c 2", {"qgauss", "fseries", "pairings", "qgraphs"}),
+    ("series --check graphs --max-c 3", {"qgauss", "fseries", "pairings", "qgraphs"}),
+    ("series --check numeric", {"qgauss", "fseries", "pairings", "qgraphs", "suites"}),
+    ("verify --suite all", {"qgauss", "fseries", "pairings", "qgraphs", "suites"}),
+])
+def test_a_command_runs_only_the_layers_it_calls(command, layers):
+    proc = subprocess.run([sys.executable, "-c", LAYER_PROBE, *command.split()],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == EAGER | {f"qfj.{layer}" for layer in layers}
 
 
 def _full_ladder(q, policy, reference):

@@ -55,6 +55,7 @@ RATIONAL_PART_SITES = {
 # at i = 2.
 INDEX_SITES = {
     "monomial": ("exponent", lambda i: QPolynomial.monomial(i)),
+    "coefficient": ("i", lambda i: q_bracket(3).coefficient(i)),
     "power": ("power", lambda i: q_bracket(2) ** i),
     "compose_power": ("k", lambda i: q_bracket(2).compose_power(i)),
     "q_bracket": ("n", q_bracket),
