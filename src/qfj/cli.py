@@ -14,7 +14,6 @@ import io
 import json
 import sys
 from fractions import Fraction
-from itertools import islice
 
 # the layers a command needs load when it first reads them (see qfj/__init__.py)
 from . import SUITE_NAMES, __version__, fseries, pairings, qgauss, qgraphs, suites
@@ -162,17 +161,12 @@ def _exact_cq_annotation(q: QParam, policy: TruncationPolicy, reference: float):
     full sum at float precision, as {"rational": r, "surd": "sqrt(1-q)"}, or
     None when no compact faithful truncation exists.
 
-    The exact partial sums grow quadratically many digits with the term
-    count, so unbounded ones are useless as output (and overflow the
-    int-to-str conversion limit near q = 1). A rung whose fixed-point sum
-    (at _interchanged_c_mp's precision) misses by twice the bound is skipped.
-    """
-    dps = int(max(islice(qgauss._interchanged_log_terms(q.as_float), 64))) + 60
-    for terms in (8, 12, 16, 24, 32, 48, 64):
-        if terms > policy.max_terms:
-            break
-        if abs(float(qgauss._interchanged_sum(q.value, terms, dps)) - reference) > (
-                2 * EXACT_CQ_FAITHFUL_REL * reference):
+    Exact partial sums grow quadratically many digits with the term count, so
+    rungs stop at 64 terms; one whose fixed-point sum misses by twice the
+    bound is skipped."""
+    rungs = [terms for terms in (8, 12, 16, 24, 32, 48, 64) if terms <= policy.max_terms]
+    for terms, partial in zip(rungs, qgauss._interchanged_partials(q, rungs)):
+        if abs(partial - reference) > 2 * EXACT_CQ_FAITHFUL_REL * reference:
             continue
         result = qgauss.c_of_q(q, TruncationPolicy.exact(terms))
         if abs(result.float_value - reference) >= EXACT_CQ_FAITHFUL_REL * reference:

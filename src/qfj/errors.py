@@ -30,4 +30,4 @@ class TruncationError(QfjError, ArithmeticError):
 
 
 class ResourceLimitError(QfjError, ValueError):
-    """Requested enumeration exceeds the configured size limit."""
+    """An enumeration or exact computation would exceed its configured size limit."""

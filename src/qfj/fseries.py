@@ -15,8 +15,8 @@ from functools import lru_cache
 from typing import Mapping
 
 from .errors import DomainError, EvaluationError, TruncationError
-from .qcalc import (DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, TruncationPolicy, E_q,
-                    _entire_log_terms, _finite, _magnitude_scan, _needs)
+from .qcalc import (DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, TruncationPolicy, E_q, _QSeries,
+                    _finite, _qseries_fixed, _qseries_scan)
 from .qcore import Frozen, QParam, QPolynomial, QScalar, index
 from .qgauss import PER_Q_CACHE_SIZE, _bounded_node_sum, _interchanged_c_mp, c_of_q
 
@@ -315,74 +315,40 @@ def _fj_quadrature(integrand, g, q: QParam, qn, nu, budget: int, tol):
     return scale * plus + scale * minus
 
 
-def _entire_sum_fixed(x: int, p: int, bits: int, max_terms: int, scale: int):
-    """(sum, terms used) of E_p(x) = sum_n p^(n(n-1)/2) x^n / [n]_p! in fixed
-    point: x, p and the returned sum are ints scaled by 2^bits. The terms are
-    stepped forward, t_n = t_(n-1) x p^(n-1)/[n]_p, with p^(n-1) and [n]_p
-    themselves fixed-point ints. The stop rule is _entire_sum's in ints: a
-    term n >= 1 with |t_n| scale <= max(|sum|, 1) ends the sum, at most
-    max_terms are summed.
-
-    Error. Each step floors twice, by at most 2^-bits each; the fixed-point
-    p^n is off by at most 2/(1-p) units of 2^-bits, and [n]_p, a running sum
-    of them, by at most 2n/(1-p). A forward recurrence carries an error made
-    at step n into each later term in the ratio of that term to t_n, so no
-    error grows past the scale of the terms' peak, 10^peak. bits is the
-    working precision, dps + 30 digits past the peak, plus guard bits: the
-    bit length of the budget for the steps and 32 for the 1/(1-p) factors.
-    So the 30 digits past the peak still hold; at the outer nodes of
-    q = 1/2 to 499/500 the sum is within 10^-(dps+41) of the mpf loop run
-    40 digits finer, against 10^-(dps+30) to 10^-(dps+32) without the guard.
-    """
-    one = 1 << bits
-    total, term, power, bracket = 0, one, one, 0     # power is p^n
-    for n in range(max_terms):
-        total += term
-        if n and abs(term) * scale <= max(abs(total), one):
-            return total, n + 1
-        bracket += power          # [n+1]_p
-        term = (term * x >> bits) * power // bracket
-        power = power * p >> bits
-    return total, max_terms
-
-
 def _fj_numeric_mp(g, q: QParam, trunc: TruncationPolicy, dps: int):
-    """I(g) by the quadrature to a tail of 10^-(dps+20); float64 cannot
-    resolve the g^6-scale gap to the order-4 series. The alternating terms of
-    the integrand E_{q^2}(u) are largest at the outer nodes, where |u| is at
-    most U(nu) = q^2 nu^2/[2]_q + |g| nu^3/[3]_q!. One magnitude scan at U(nu)
-    sets the working precision, dps + 30 digits past their peak; a budget too
-    short for them to fall below the integrand cutoff 10^-(dps+25) raises at
-    the first integrand, so a budget the quadrature refuses keeps its message.
-    Each integrand is summed in fixed point by _entire_sum_fixed, at the
-    working precision plus guard bits.
-    """
+    """I(g) by the quadrature to a tail of 10^-(dps+20), which float64 cannot
+    resolve. The alternating terms of the integrand E_p(u), p = q^2, peak at
+    the outer nodes, where |u| <= U(nu) = q^2 nu^2/[2]_q + |g| nu^3/[3]_q!:
+    one scan there sets the precision, dps + 30 digits past the peak, and a
+    budget short of the cutoff 10^-(dps+25) raises at the first integrand (so
+    a quadrature refusal keeps its message). Each integrand is summed forward
+    in fixed point from E_p's ratio u (1-p) p^n/(1-p^(n+1))."""
     import mpmath as mp
-    from mpmath.libmp import to_fixed
 
     qv, qf, budget = q.value, q.as_float, trunc.max_terms
     c_value, _ = _interchanged_c_mp(qv, budget, extra_dps=dps)
     bracket2, fact3 = _low_brackets(qf)
     outer = qf * qf / (1 - qf) / bracket2 + abs(float(g)) / (1 - qf) ** 1.5 / fact3
-    peak, needed = _magnitude_scan(_entire_log_terms(outer, qf * qf), budget, -dps - 25)
+    p = qv * qv
+    peak, _, refusal = _qseries_scan(
+        _QSeries(p, Fraction(outer) * (1 - p), p), budget, -dps - 25,
+        f"I(g) integrand at g={float(g)!r}, q={q}", f"to reach 1e-{dps + 25} at x = nu")
     with mp.workdps(dps + 30 + int(peak)):
         qm = mp.mpf(qv.numerator) / qv.denominator
-        q_sq = qm * qm
         nu_m = 1 / mp.sqrt(1 - qm)
         bracket2, fact3 = _low_brackets(qm)
         gm = mp.mpf(g.numerator) / g.denominator if isinstance(g, Fraction) else mp.mpf(g)
-        bits = mp.mp.prec + 32 + budget.bit_length()
-        p_fixed = (qv.numerator ** 2 << bits) // qv.denominator ** 2     # q^2
-        scale = 10 ** (dps + 25)
-        even, odd = -q_sq / bracket2, gm / fact3        # u(x) = x^2 (even + odd x)
+        prec, scale = mp.mp.prec, 10 ** (dps + 25)
+        even, odd = -qm * qm / bracket2, gm / fact3       # u(x) = x^2 (even + odd x)
+        rest_n, rest_d = (1 - p).as_integer_ratio()
 
         def integrand(x):
-            if needed is None or needed > budget:
-                raise TruncationError(
-                    f"I(g) integrand at g={float(g)!r}, q={q} needs {_needs(needed)} terms "
-                    f"to reach 1e-{dps + 25} at x = nu, budget is {budget}; raise max_terms")
-            u = to_fixed((x * x * (even + odd * x))._mpf_, bits)
-            return mp.mpf((_entire_sum_fixed(u, p_fixed, bits, budget, scale)[0], -bits))
+            if refusal:
+                raise refusal
+            sign, man, exp, _ = (x * x * (even + odd * x))._mpf_     # u = man 2^exp
+            z = ((-man if sign else man) * rest_n << max(exp, 0), rest_d << max(-exp, 0))
+            total, bits, _ = _qseries_fixed(_QSeries(p, z, p), prec, budget, scale)
+            return mp.mpf((total, -bits))
 
         node_cutoff = mp.mpf(10) ** (-(dps + 20))
         integral = _fj_quadrature(integrand, gm, q, qm, nu_m, budget, node_cutoff)

@@ -5,7 +5,8 @@ Two evaluation regimes coexist. Exact mode keeps every operation in rational
 arithmetic and always sums the full term budget. Float series stop once a
 term falls to FLOAT_TAIL_TOLERANCE of the partial sum, float node sums once a
 guaranteed tail bound does (qgauss._bounded_node_sum); a black-box Jackson
-integral spends its budget.
+integral spends its budget. Every E_p, e_p or c(q) series not summed by the
+float _entire_sum goes through the one summer here, from its ratio (_QSeries).
 Polynomial integrands bypass node summation entirely: a Jackson integral of
 x^t over [0, b] has the closed form b^(t+1)/[t+1]_q, so identity-level tests
 never depend on truncation.
@@ -14,11 +15,12 @@ never depend on truncation.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from itertools import count, islice
 from typing import Callable, NamedTuple, Union
 
-from .errors import DivergenceError, DomainError, EvaluationError, TruncationError
+from .errors import (DivergenceError, DomainError, EvaluationError, ResourceLimitError,
+                     TruncationError)
 from .qcore import Frozen, QParam, QPolynomial, as_fraction, index
 
 Real = Union[int, Fraction, float]
@@ -26,6 +28,7 @@ Real = Union[int, Fraction, float]
 _MIN_FLOAT = 1e-300  # guards relative-size tests against a zero running sum
 FLOAT_TAIL_TOLERANCE = 1e-30  # float loops stop at a term or tail bound this far below the sum
 _SCAN_LIMIT = 200_000  # longest log-magnitude scan behind a TruncationError hint
+EXACT_DIGIT_LIMIT = 400_000  # digits of the largest term an exact series sum may build
 
 
 class TruncationPolicy(Frozen):
@@ -161,9 +164,14 @@ def jackson_integral_symmetric(f: RealFunction, b: Real, q: QParam,
 
 def _growing_terms(s, q) -> float:
     """About how many terms of sum_n x^n / [n]_q! grow before they decay, at
-    s = |x|(1-q) < 1: term n+1 exceeds term n while [n+1]_q < |x|, that is
-    while q^(n+1) > 1 - s."""
-    return math.log(max(1 - s, _MIN_FLOAT)) / math.log(q)
+    s = |x|(1-q) < 1: while q^(n+1) > 1 - s. An exact q whose float is 0.0
+    takes log q from its integers, one whose float is 1.0 as -(1-q)."""
+    log_rest, qf = math.log(max(1 - s, _MIN_FLOAT)), float(q)
+    if 0.0 < qf < 1.0:
+        return log_rest / math.log(qf)
+    if qf == 0.0:
+        return log_rest / (math.log(q.numerator) - math.log(q.denominator))
+    return float(min(s / (1 - q), 10 ** 300)) * (log_rest / -float(s) if s > 1e-9 else 1.0)
 
 
 def _finite(x: Real) -> float:
@@ -184,10 +192,8 @@ def e_q(x: Real, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY) -> Real:
     float range inside the radius raises EvaluationError; exact mode gives
     the value. A float argument that is not finite raises DomainError.
     """
-    if trunc.is_exact and not isinstance(x, float):
-        xv, qv, tol, floor = as_fraction(x, "argument"), q.value, 0, 0
-    else:
-        xv, qv, tol, floor = _finite(x), q.as_float, FLOAT_TAIL_TOLERANCE, _MIN_FLOAT
+    exact = trunc.is_exact and not isinstance(x, float)
+    xv, qv = (as_fraction(x, "argument"), q.value) if exact else (_finite(x), q.as_float)
     s = abs(xv) * (1 - qv)
     if s >= 1:
         raise DivergenceError(
@@ -198,26 +204,25 @@ def e_q(x: Real, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY) -> Real:
             f"e_q series at x={x!r}, q={q} grows for about {hump:.0f} terms and "
             f"needs about {math.ceil(2 * hump)} terms to converge, budget is "
             f"{trunc.max_terms}; raise max_terms")
-    total = _entire_sum(xv, qv, 1, trunc.max_terms, tol, floor)
-    if isinstance(total, float) and not math.isfinite(total):
+    if exact:
+        return _qseries_exact(_QSeries(qv, xv * (1 - qv), qv, beta=0), trunc.max_terms)
+    total = _entire_sum(xv, qv, 1, trunc.max_terms)
+    if not math.isfinite(total):
         raise EvaluationError(
             f"e_q at x={x!r}, q={q} overflows float range; use exact mode for its value")
     return total
 
 
-def _entire_sum(x, p, growth, max_terms: int, tol, floor):
-    """Partial sum of sum_n growth^(n(n-1)/2) x^n / [n]_p!: growth = p is the
-    entire E_p, growth = 1 the q-exponential e_p.
-
-    Runs in the arithmetic of x and p (Fraction or float alike). A term
-    with |term| <= tol * max(|partial sum|, floor) ends the sum; tol = 0 spends
-    the whole budget (a zero threshold could only drop exact zeros).
-    """
+def _entire_sum(x: float, p: float, growth, max_terms: int) -> float:
+    """Float partial sum of sum_n growth^(n(n-1)/2) x^n / [n]_p! (growth = p:
+    E_p, growth = 1: e_p), ended by a term n >= 1 with |term| <=
+    FLOAT_TAIL_TOLERANCE max(|partial sum|, _MIN_FLOAT)."""
     total = bracket = x * 0
     term = power = g_power = total + 1      # g_power is growth^n
     for n in range(max_terms):
         total += term
-        if tol and n >= 1 and abs(term) <= tol * (floor if floor > (size := abs(total)) else size):
+        if n >= 1 and abs(term) <= FLOAT_TAIL_TOLERANCE * (
+                _MIN_FLOAT if _MIN_FLOAT > (size := abs(total)) else size):
             break
         bracket += power          # [n+1]_p
         power *= p
@@ -226,39 +231,113 @@ def _entire_sum(x, p, growth, max_terms: int, tol, floor):
     return total
 
 
-def _magnitude_scan(log_terms, budget: int, cutoff: float = -45):
-    """Walk log10 |term_n| for n = 0, 1, ... until a term falls below
-    10^cutoff, for at most max(_SCAN_LIMIT, budget + 1) terms.
+# The one q-series summer takes a series as data, t_n = U_n/(1 - w s^n), U_0 =
+# lead, U_(n+1)/U_n = z s^(beta n)/(1 - v s^n), beta 0 or 1, the rest exact
+# rationals: int, Fraction or an unreduced (numerator, denominator) pair. It
+# holds no formula; each route passes its own ratio to _qseries_scan (a float
+# walk of log10 |t_n|), _qseries_fixed or _qseries_exact.
+_QSeries = namedtuple("_QSeries", "s z v w beta lead", defaults=(0, 1, 1))
 
-    Returns (peak, needed): the largest magnitude (at least that of a leading
-    1), which sizes the working precision of a cancelling sum, and the number
-    of terms up to the first below 10^cutoff, None if none comes.
-    """
-    peak = 0.0
-    for n, log_term in enumerate(islice(log_terms, max(_SCAN_LIMIT, budget + 1))):
-        if log_term > peak:
-            peak = log_term
+
+def _ratio(c) -> tuple[int, int]:
+    return c if isinstance(c, tuple) else c.as_integer_ratio()
+
+
+def _qseries_scan(series: _QSeries, budget: int, cutoff: float, what: str, goal: str):
+    """(peak, needed, refusal): the largest log10 |t_n| (at least 0), which
+    sizes the precision of a cancelling sum; the terms up to the first below
+    10^cutoff, of at most max(_SCAN_LIMIT, budget + 1) (None if none comes);
+    and the TruncationError for a budget short of that, else None."""
+    s, z, v, w, beta, lead = (n / d for n, d in map(_ratio, series))
+    log_s, log_z = math.log10(s), math.log10(abs(z))
+    log_u, peak, needed = math.log10(abs(lead)), 0.0, None
+    for n in range(max(_SCAN_LIMIT, budget + 1)):
+        log_term = log_u - math.log10(abs(1 - w * s ** n))
+        peak = max(peak, log_term)
         if log_term < cutoff:
-            return peak, n + 1
-    return peak, None
+            needed = n + 1
+            break
+        log_u += log_z + beta * n * log_s - math.log10(abs(1 - v * s ** n))
+    if needed is not None and needed <= budget:
+        return peak, needed, None
+    count = f"about {needed}" if needed else f"more than {_SCAN_LIMIT}"
+    return peak, needed, TruncationError(
+        f"{what} needs {count} terms {goal}, budget is {budget}; raise max_terms")
 
 
-def _needs(needed) -> str:
-    """The term count a TruncationError names, from _magnitude_scan."""
-    return f"about {needed}" if needed else f"more than {_SCAN_LIMIT}"
+def _qseries_fixed(series: _QSeries, prec: int, terms: int, scale: int | None = None):
+    """(sum, bits, terms used) in fixed point, the sum an int at 2^bits. With
+    a stop `scale` the terms step forward until the first n >= 1 with
+    |t_n| scale <= max(|sum|, 1); without one all `terms` are summed backward,
+    t_n = 1/(1 - w s^n) + r_n t_(n+1), r_n = z s^(beta n)/(1 - v s^n), as an
+    int numerator/denominator pair shifted each step and divided once. Each
+    c s^n (c = z, v, w) steps by the small ints of s = A/B.
+
+    Error: each step floors a few times by 2^-bits; a stepped power is off by
+    about n/(1-s) units forward, and backward its error grows by B/A a step.
+    An error made at step n reaches the sum scaled by the term or tail at n,
+    at most the terms' peak 10^peak. Guard bits: 32 for the 1/(1-s) factors,
+    the bit length of `terms` for the steps, and backward what B/A loses in
+    terms - 1 steps. So the sum is within about 10^peak 2^-prec of the exact
+    partial sum; callers size prec past the peak."""
+    s, z, v, w, beta, lead = series
+    a, b = _ratio(s)
+    top = terms - 1 if scale is None else 0
+    a_top, b_top = a ** top, b ** top
+    bits = prec + 32 + terms.bit_length() + b_top.bit_length() - a_top.bit_length()
+    one = 1 << bits
+
+    def fixed(c, power):          # c s^power at 2^bits, from the exact c
+        n, d = _ratio(c)
+        return (n * a_top ** power << bits) // (d * b_top ** power) if n else 0
+
+    zs, vs, ws = fixed(z, beta), fixed(v, 1), fixed(w, 1)
+    lead_n, lead_d = _ratio(lead)
+    if scale is None:
+        num, den = one, one - ws
+        for _ in range(top):
+            ws, vs, zs = ws * b // a, vs * b // a, zs * b // a if beta else zs
+            odd = one - ws
+            scaled = (one - vs) * den >> bits
+            num, den = (scaled << bits) + odd * (zs * num >> bits), odd * scaled
+            shift = den.bit_length() - bits
+            num, den = num >> shift, den >> shift
+        return (lead_n * num << bits) // (lead_d * den), bits, terms
+    total, term = 0, (lead_n << bits) // lead_d
+    for n in range(terms):
+        t = (term << bits) // (one - ws) if ws else term
+        total += t
+        if n and abs(t) * scale <= max(abs(total), one):
+            return total, bits, n + 1
+        term = term * zs // (one - vs)
+        vs, ws, zs = vs * a // b, ws * a // b, zs * a // b if beta else zs
+    return total, bits, terms
 
 
-def _entire_log_terms(x: float, qf: float):
-    """log10 |term_n| of the series of E_q at x != 0, for n = 0, 1, ..."""
-    log_q = math.log10(qf)
-    log_x = math.log10(abs(x))
-    log_term = bracket = 0.0
-    power = 1.0
-    for n in count():
-        yield log_term
-        bracket += power
-        power *= qf
-        log_term += n * log_q + log_x - math.log10(bracket)
+def _qseries_exact(series: _QSeries, terms: int) -> Fraction:
+    """The first `terms` terms summed exactly, nested as t_0 (1 + r_0 (1 + ...)),
+    r_n = t_(n+1)/t_n: each step multiplies by a small ratio, normalized once,
+    and adds 1. Before that, t_n has at most h(lead) + n (h(z) + h(v) + 1) +
+    (beta+1) n(n-1)/2 h(s) + h(w) + n h(s) + 1 bits, h the bit length of a
+    datum's larger part; past EXACT_DIGIT_LIMIT digits, ResourceLimitError."""
+    s, z, v, w, _, lead = (Fraction(*_ratio(c)) for c in series)
+    h = [max(abs(c.numerator), c.denominator).bit_length() for c in (s, z, v, w, lead)]
+    n, beta = terms - 1, series.beta
+    digits = math.ceil(0.30103 * (h[4] + n * (h[1] + h[2] + 1) + (beta + 1) * n * (n - 1) // 2
+                                  * h[0] + (h[3] + n * h[0] + 1 if w else 0)))
+    if digits > EXACT_DIGIT_LIMIT:
+        raise ResourceLimitError(
+            f"an exact sum of {terms} series terms would take about {digits} digits, "
+            f"over the limit of {EXACT_DIGIT_LIMIT}; lower max_terms or use float mode")
+    a, b = s.as_integer_ratio()
+    (zn, zd), (vn, vd), (wn, wd) = z.as_integer_ratio(), v.as_integer_ratio(), w.as_integer_ratio()
+    nested = Fraction(1)
+    for j in reversed(range(n)):
+        aj, bj = a ** j, b ** j
+        ratio = Fraction(zn * aj ** beta * vd * bj * b * (wd * bj - wn * aj),
+                         zd * bj ** beta * (vd * bj - vn * aj) * (wd * bj * b - wn * aj * a))
+        nested = 1 + ratio * nested
+    return lead * nested / (1 - w)
 
 
 def _E_q_float_fallback(x: float, q: QParam, trunc: TruncationPolicy) -> float:
@@ -314,7 +393,8 @@ def E_q(x: Real, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY) -> Real:
     budget cannot reach that. A non-finite float argument raises DomainError.
     """
     if trunc.is_exact and not isinstance(x, float):
-        return _entire_sum(as_fraction(x, "argument"), q.value, q.value, trunc.max_terms, 0, 0)
+        xv, qv = as_fraction(x, "argument"), q.value
+        return _qseries_exact(_QSeries(qv, xv * (1 - qv), qv), trunc.max_terms)
     xf, qf, tol = _finite(x), q.as_float, FLOAT_TAIL_TOLERANCE
     s = -xf * (1.0 - qf)      # |x| over the e_q radius
     if 0.0 < s < 1.0:
@@ -324,7 +404,7 @@ def E_q(x: Real, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY) -> Real:
         hump = _growing_terms(s, qf)
         decay = math.log(tol) / math.log(s)
         if 2.0 * hump + decay <= 0.9 * trunc.max_terms:
-            return 1.0 / _entire_sum(-xf, qf, 1, trunc.max_terms, tol, _MIN_FLOAT)
+            return 1.0 / _entire_sum(-xf, qf, 1, trunc.max_terms)
     if xf < 0:
         return _E_q_float_fallback(xf, q, trunc)
-    return _entire_sum(xf, qf, qf, trunc.max_terms, tol, _MIN_FLOAT)
+    return _entire_sum(xf, qf, qf, trunc.max_terms)

@@ -19,8 +19,8 @@ from itertools import count
 from typing import NamedTuple
 
 from .errors import DomainError, TruncationError
-from .qcalc import (DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, E_q, TruncationPolicy,
-                    _finite, _magnitude_scan, _needs)
+from .qcalc import (DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, E_q, TruncationPolicy, _QSeries,
+                    _finite, _qseries_exact, _qseries_fixed, _qseries_scan)
 from .qcore import QParam, QScalar, as_fraction, index, q_double_factorial, QPolynomial
 
 PER_Q_CACHE_SIZE = 256  # entries in each per-q memo: a few q values' worth
@@ -31,20 +31,14 @@ MOMENT_TOLERANCE = 1e-8  # quadrature moments and their ratios vs closed forms
 
 def kernel_eval_x2(x_squared, q: QParam,
                    trunc: TruncationPolicy = DEFAULT_POLICY):
-    """Gaussian kernel as a function of x^2.
-
-    The kernel is the entire series sum_n (-1)^n q^(n(n+1)) x^(2n) /
-    ((1+q)^n [n]_{q^2}!), that is E_{q^2}(-q^2 x^2 / [2]_q). Exact mode sums
-    it directly in rationals. Float mode goes through E_q's negative-argument
-    route: the reciprocal 1/e_{q^2}(q^2 x^2 / [2]_q), a positive-term series
-    with no cancellation, wherever it converges within the budget (every
-    node of the [-nu, nu] grid lies inside the e_{q^2} radius), and Euler's
-    product elsewhere. A float x^2 that is not finite raises DomainError.
-    """
-    if trunc.is_exact and not isinstance(x_squared, float):
-        qv, x_squared = q.value, as_fraction(x_squared, "x^2")
-    else:
-        qv, x_squared = q.as_float, _finite(x_squared)
+    """Gaussian kernel as a function of x^2: sum_n (-1)^n q^(n(n+1)) x^(2n) /
+    ((1+q)^n [n]_{q^2}!) = E_{q^2}(-q^2 x^2 / [2]_q), exact in rationals, float
+    by E_q's negative-argument routes (every node of the [-nu, nu] grid lies
+    inside the e_{q^2} radius). A float x^2 that is not finite raises
+    DomainError."""
+    exact = trunc.is_exact and not isinstance(x_squared, float)
+    qv, x_squared = ((q.value, as_fraction(x_squared, "x^2")) if exact
+                     else (q.as_float, _finite(x_squared)))
     return E_q(-(qv * qv * x_squared / (1 + qv)), q.squared, trunc)
 
 
@@ -69,87 +63,47 @@ class NormalizationResult(NamedTuple):
 _METHODS = ("double_sum", "interchanged_sum")
 
 
-def _interchanged_log_terms(qf: float):
-    """log10 magnitudes of the terms of _interchanged_c_mp, from the float q."""
-    log_q = math.log10(qf)
-    log_poch = 0.0
-    for m in count():
-        yield m * (m + 1) * log_q - math.log10(1 - qf ** (2 * m + 1)) - log_poch
-        log_poch += math.log10(1 - qf ** (2 * (m + 1)))
+def _interchanged_series(qv: Fraction, n: int = 0, damping=1) -> _QSeries:
+    """damping^j T_j(n), T_j(n) = (-1)^j q^(j(j+1)) / ((1-q^(2n+2j+1))
+    prod_{i<=j} (1-q^(2i))), as summer data: U_j = T_j(n) (1-q^(2n+2j+1)) has
+    ratio -damping q^(2j+2)/(1-q^(2j+2)). T_j(0) are the c(q) series' terms."""
+    q_sq = qv * qv
+    return _QSeries(q_sq, -damping * q_sq, q_sq, qv ** (2 * n + 1))
 
 
 def _interchanged_c_mp(qv: Fraction, max_terms: int, extra_dps: int = 0) -> tuple[Fraction, int]:
-    """c(q) by the single-index series in adaptive-precision arithmetic.
-
-    Individual terms peak many orders of magnitude above the sum near q = 1
-    (about 1e100 at q = 0.999), so the working precision is sized from a
-    magnitude scan before summing. Returns (value, terms_used), the value a
-    dyadic Fraction that float() rounds correctly (see _interchanged_sum). Raises
-    TruncationError when the terms have not fallen below 1e-45 (10^-(extra_dps
-    + 25) for a finer sum) within max_terms: an alternating partial sum cut
-    mid-hump is pure cancellation noise, not an approximation.
-
-    The scan, the budget check and so the refusal and terms_used are decided
-    on every call; the sum itself is memoized per (exact q, working
-    precision) in _interchanged_sum, so a process sums each c(q) once.
-    """
-    cutoff = -(extra_dps + 25) if extra_dps else -45
-    peak, needed = _magnitude_scan(_interchanged_log_terms(float(qv)), max_terms, cutoff)
-    if needed is None or needed > max_terms:
-        raise TruncationError(
-            f"normalization series at q={qv} needs {_needs(needed)} terms to converge, "
-            f"budget is {max_terms}; raise max_terms")
+    """c(q) by the single-index series in adaptive precision, as (value,
+    terms_used), the value a dyadic Fraction that float() rounds correctly.
+    The terms peak far above the sum near q = 1 (1e100 at q = 0.999): a scan
+    sizes the precision, peak + 60 digits, and the terms, up to the first
+    below 1e-45 (10^-(extra_dps + 25) for a finer sum), or refuses the budget."""
+    peak, needed, refusal = _qseries_scan(
+        _interchanged_series(qv), max_terms, -(extra_dps + 25) if extra_dps else -45,
+        f"normalization series at q={qv}", "to converge")
+    if refusal:
+        raise refusal
     return _interchanged_sum(qv, needed, max(30, int(peak) + 60) + extra_dps), needed
 
 
 @lru_cache(maxsize=PER_Q_CACHE_SIZE)
 def _interchanged_sum(qv: Fraction, needed: int, dps: int) -> Fraction:
-    """The first `needed` terms of the c(q) series, times 2 sqrt(1-q), to
-    `dps` digits, as v / 2^bits. Keyed by the exact Fraction q: two q with the
-    same float have different sums.
-
-    The N terms T_j are summed backward as t_j = 1/(1-q^(2j+1)) + r_j t_(j+1),
-    U_j = T_j (1-q^(2j+1)), r_j = U_(j+1)/U_j = -q^(2j+2)/(1-q^(2j+2)); t_0 is
-    the sum. With q = a/b, t_j is a pair of ints num/den in fixed point at
-    `bits` bits, both shifted after each step (only the ratio counts) and
-    divided once at the end, times sqrt(1-q) from isqrt at 2^bits; the powers
-    step down from q^(2N-1) by b/a, with guard bits for that descent. `bits`
-    starts from mpmath's precision for `dps` digits, round((dps+1) log2 10).
-    A step's rounding, a few units of 2^-bits (1 + |t_j|), reaches the sum
-    times U_j, so at the scale of the term T_j and the tail U_j t_j from j, at
-    most about 10^peak: the peak + 60 digits keep 60 past the peak, as they do
-    for a forward sum.
-    """
-    a, b = qv.numerator, qv.denominator
-    a_top, b_top = a ** (2 * needed - 1), b ** (2 * needed - 1)
+    """The first `needed` terms of the c(q) series, times 2 sqrt(1-q), as
+    v / 2^bits: summed backward by _qseries_fixed at mpmath's precision for
+    `dps` digits, within 10^peak 2^-prec, and sqrt(1-q) by isqrt at 2^-bits.
+    Keyed by the exact q: two q with the same float have different sums."""
     prec = round((dps + 1) * 3.3219280948873626)   # mpmath's bits for dps digits
-    bits = prec + b_top.bit_length() - a_top.bit_length() + needed.bit_length() + 32
-    one = 1 << bits
-    power = (a_top << bits) // b_top        # q^(2j+1) at j = N - 1
-    num, den = one, one - power
-    for _ in range(needed - 1):
-        even = power * b // a               # q^(2j+2), one j lower
-        power = even * b // a               # q^(2j+1)
-        odd = one - power
-        scaled = (one - even) * den >> bits
-        num, den = (scaled << bits) - odd * (even * num >> bits), odd * scaled
-        shift = den.bit_length() - bits
-        num, den = num >> shift, den >> shift
+    total, bits, _ = _qseries_fixed(_interchanged_series(qv), prec, needed)
+    a, b = qv.numerator, qv.denominator
     root = math.isqrt(((b - a) << 2 * bits) // b)     # sqrt(1-q) at 2^bits
-    return Fraction(2 * root * num // den, one)
+    return Fraction(2 * root * total >> bits, 1 << bits)
 
 
-def _interchanged_nested(qv: Fraction, n: int, terms: int, damping=1) -> Fraction:
-    """sum_{j<terms} damping^j T_j(n), T_j(n) = (-1)^j q^(j(j+1)) /
-    ((1-q^(2n+2j+1)) prod_{i<=j} (1-q^(2i))), exactly (T_j(0) are the c(q)
-    series terms). Summed in the nested form T_0 (1 + r_0 (1 + r_1 (...))),
-    r_j = damping T_(j+1)/T_j: each step adds 1 instead of two large Fractions."""
-    nested = Fraction(1)
-    for j in reversed(range(terms - 1)):
-        ratio = (-damping * qv ** (2 * j + 2) * (1 - qv ** (2 * n + 2 * j + 1))
-                 / ((1 - qv ** (2 * n + 2 * j + 3)) * (1 - qv ** (2 * j + 2))))
-        nested = 1 + ratio * nested
-    return nested / (1 - qv ** (2 * n + 1))
+def _interchanged_partials(q: QParam, rungs) -> list[float]:
+    """The c(q) partial sums of `terms` terms, for each `terms` in rungs, as
+    floats at a float c(q)'s working precision: one scan, then fixed point."""
+    peak = _qseries_scan(_interchanged_series(q.value), max(rungs, default=0), -45, "", "")[0]
+    dps = max(30, int(peak) + 60)
+    return [float(_interchanged_sum(q.value, terms, dps)) for terms in rungs]
 
 
 def _bounded_node_sum(nodes, budget: int, tol, what: str, refusal=None):
@@ -230,24 +184,23 @@ def _node_sum(n: int, q: QParam, trunc: TruncationPolicy):
     node weight: sum_m q^m x_m^(2n) kernel(x_m^2) at x_m^2 = q^(2m) nu^2.
     Returns (sum, nodes used).
 
-    Exact mode sums the full budget, M = max_terms nodes of the M-term kernel,
-    by kernel term j and without evaluating a kernel: the nodes of term j are
-    geometric in q^(2n+2j+1), so the sum is
-    nu^(2n) sum_{j<M} T_j(n) (1 - q^((2n+2j+1)M)) (see _interchanged_nested).
+    Exact mode sums the full budget, M nodes of the M-term kernel, by kernel
+    term j: the nodes of term j are geometric in q^(2n+2j+1), so the sum is
+    nu^(2n) sum_{j<M} T_j(n) (1 - q^((2n+2j+1)M)) (see _interchanged_series).
 
     Float mode sums node by node in _bounded_node_sum with the tail bound
     q^m x_m^(2n) d/(1-d), d = q^(2n+1) (the kernel is at most 1 on the
-    support, so after M nodes it is at least d^M of the sum). Every n steps
-    through the same x_m^2, so each node's kernel_eval_x2 is evaluated once
-    per process per (exact q, budget) and read back from _node_kernels by
-    every later sum; the entry is fetched when the first node is drawn, so a
-    refused budget touches no memo, and it grows only as far as a sum reads.
+    support, so after M nodes it is at least d^M of the sum). Each node's
+    kernel is evaluated once per process per (exact q, budget) and read back
+    from _node_kernels, fetched when the first node is drawn (so a refused
+    budget touches no memo) and grown only as far as a sum reads.
     """
     budget = trunc.max_terms
     if trunc.is_exact:
         qv = q.value
-        rectangle = (_interchanged_nested(qv, n, budget) - qv ** ((2 * n + 1) * budget)
-                     * _interchanged_nested(qv, n, budget, qv ** (2 * budget)))
+        rectangle = (_qseries_exact(_interchanged_series(qv, n), budget)
+                     - qv ** ((2 * n + 1) * budget) * _qseries_exact(
+                         _interchanged_series(qv, n, qv ** (2 * budget)), budget))
         return rectangle / (1 - qv) ** n, budget
     qv = q.as_float
     decay = qv ** (2 * n + 1)
@@ -279,7 +232,7 @@ def c_of_q(q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY,
     verification oracle that integrates the kernel node by node. Float mode of
     the interchanged route runs in adaptive precision because of cancellation
     near q = 1; the double sum has positive terms and stays in float64. Exact
-    mode sums both by kernel term, in nested form (see _interchanged_nested).
+    mode sums both by kernel term; its float_value is inf only past float range.
     """
     if method not in _METHODS:
         raise DomainError(f"method must be one of {_METHODS}, got {method!r}")
@@ -287,15 +240,21 @@ def c_of_q(q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY,
     if method == "double_sum":
         total, used = _node_sum(0, q, trunc)
     elif trunc.is_exact:
-        total, used = _interchanged_nested(qv, 0, trunc.max_terms), trunc.max_terms
+        total, used = _qseries_exact(_interchanged_series(qv), trunc.max_terms), trunc.max_terms
     else:
         q.as_float                  # refuses a q with no float strictly inside (0, 1)
         value, used = _interchanged_c_mp(qv, trunc.max_terms)
         return NormalizationResult(None, float(value), method, used)
-    if trunc.is_exact:
-        r = QScalar(2 * total)
-        return NormalizationResult(r, float(r) * math.sqrt(float(1 - qv)), method, used)
-    return NormalizationResult(None, 2.0 * math.sqrt(1.0 - q.as_float) * total, method, used)
+    if not trunc.is_exact:
+        return NormalizationResult(None, 2.0 * math.sqrt(1.0 - q.as_float) * total, method, used)
+    r, rest = QScalar(2 * total), 1 - qv
+    if abs(r) < 1e300 and rest > 1e-300:
+        value = float(r) * math.sqrt(float(rest))
+    else:   # from the exact r^2 (1-q), where float(r) or float(1-q) fails
+        from decimal import Decimal
+        y = r * r * rest
+        value = float((Decimal(y.numerator) / y.denominator).sqrt()) * (-1 if r < 0 else 1)
+    return NormalizationResult(r, value, method, used)
 
 
 def moment_closed_form(n: int) -> QPolynomial:

@@ -71,10 +71,13 @@ def test_negative_order_exits_with_usage_error(args):
      "cannot write --out /nonexistent/dir/x.json: No such file or directory"),
     (("cq", "--sweep", "1/2:3/4:2", "--out", "/nonexistent/dir/x.csv"),
      "cannot write --out /nonexistent/dir/x.csv: No such file or directory"),
+    (("verify", "--q", "1e-400", "--suite", "gauss"),
+     "an exact sum of 64 series terms would take about 3251417 digits"),
 ])
 def test_bad_input_exits_with_one_error_line(args, phrase):
-    # 1e-5000 exited 1 with a ValueError traceback from str(q), and an
-    # unwritable --out with a FileNotFoundError traceback
+    # 1e-5000 exited 1 with a ValueError traceback from str(q), an
+    # unwritable --out with a FileNotFoundError traceback, and the exact
+    # kernel at q = 1e-400 was still summing after minutes
     proc = run_cli(*args, expect=2)
     assert proc.stdout == ""
     [line] = proc.stderr.splitlines()

@@ -42,9 +42,10 @@ PRODUCT_QS = [QParam(Fraction(1, 2)), QParam(Fraction(1, 4)),
 
 def entire_mpf_terms(u, p, max_terms: int, cutoff):
     """(sum, terms used) of E_p(u) = sum_n p^(n(n-1)/2) u^n / [n]_p! by the
-    plain forward mpf loop, the values of qcalc._entire_sum(u, p, p,
-    max_terms, cutoff, 1): a term n >= 1 with |term| <= cutoff max(|sum|, 1)
-    ends it. Reference for fseries._entire_sum_fixed."""
+    plain forward mpf loop, qcalc._entire_sum's steps with cutoff and 1 in
+    place of its float tolerance and floor: a term n >= 1 with |term| <=
+    cutoff max(|sum|, 1) ends it. Reference for the fixed-point integrand
+    sum of fj_numeric."""
     total = bracket = u * 0
     term = power = total + 1      # power is p^n
     for n in range(max_terms):
@@ -62,10 +63,11 @@ class FirstIntegrands(Exception):
 
 
 def spy_integrands(monkeypatch, count: int):
-    """Wrap fseries._entire_sum_fixed: record (working dps, args, result) of
-    the first `count` integrands, then end the quadrature."""
+    """Wrap the summer's fixed-point sum as fseries calls it: record (working
+    dps, args, result) of the first `count` integrands, then end the
+    quadrature."""
     seen = []
-    original = fseries._entire_sum_fixed
+    original = fseries._qseries_fixed
 
     def spy(*args):
         seen.append((mp.mp.dps, args, original(*args)))
@@ -73,7 +75,7 @@ def spy_integrands(monkeypatch, count: int):
             raise FirstIntegrands
         return seen[-1][2]
 
-    monkeypatch.setattr(fseries, "_entire_sum_fixed", spy)
+    monkeypatch.setattr(fseries, "_qseries_fixed", spy)
     return seen
 
 
@@ -462,7 +464,7 @@ class TestNumericEvaluation:
         calls = []
         monkeypatch.setattr(fseries, "_interchanged_c_mp",
                             lambda *args, **kwargs: calls.append(args))
-        monkeypatch.setattr(fseries, "_entire_sum_fixed", lambda *args: calls.append(args))
+        monkeypatch.setattr(fseries, "_qseries_fixed", lambda *args: calls.append(args))
         with pytest.raises(DomainError, match="dps must be a positive integer"):
             fj_numeric(Fraction(1, 20), Q_HALF, dps=dps)
         assert calls == []
@@ -473,8 +475,8 @@ class TestNumericEvaluation:
         # at dps=60 nan was scanned 0.1 s before a TruncationError, and inf
         # leaked an OverflowError
         calls = []
-        for name in ("c_of_q", "E_q", "_interchanged_c_mp", "_magnitude_scan",
-                     "_entire_sum_fixed"):
+        for name in ("c_of_q", "E_q", "_interchanged_c_mp", "_qseries_scan",
+                     "_qseries_fixed"):
             monkeypatch.setattr(fseries, name, lambda *args, **kwargs: calls.append(args))
         with pytest.raises(DomainError, match="must be finite"):
             fj_numeric(g, Q_HALF, dps=dps)
@@ -508,7 +510,7 @@ class TestNumericEvaluation:
                                                            budget, dps, tail):
         calls = []
         monkeypatch.setattr(fseries, "E_q", lambda *args: calls.append(args))
-        monkeypatch.setattr(fseries, "_entire_sum_fixed", lambda *args: calls.append(args))
+        monkeypatch.setattr(fseries, "_qseries_fixed", lambda *args: calls.append(args))
         with pytest.raises(TruncationError,
                            match=re.escape(f"tail bounded by {tail} after {budget} nodes")):
             fj_numeric(g, QParam(qv), TruncationPolicy.floating(budget), dps=dps)
@@ -520,7 +522,7 @@ class TestNumericEvaluation:
         # by the first and 28 by the second; the 24-term integrand used to be
         # summed short at every node
         calls = []
-        monkeypatch.setattr(fseries, "_entire_sum_fixed", lambda *args: calls.append(args))
+        monkeypatch.setattr(fseries, "_qseries_fixed", lambda *args: calls.append(args))
         for budget, message in (
                 (24, "normalization series at q=3/4 needs about 27 terms to converge, "
                      "budget is 24"),
@@ -548,7 +550,7 @@ class TestNumericEvaluation:
                 term *= x * p ** n / bracket
                 peak = max(peak, term)
         digits = 60 + 30 + int(mp.log10(peak))
-        (dps, (_, _, bits, _, _), _), = seen
+        (dps, _, (_, bits, _)), = seen
         assert dps == digits
         # the fixed-point loop sums at that precision plus its guard bits
         assert bits >= dps_to_prec(digits) + 32
@@ -567,10 +569,11 @@ class TestNumericEvaluation:
         with pytest.raises(FirstIntegrands):
             fj_numeric(g, QParam(qv), TruncationPolicy.floating(budget), dps=60)
         positive = []
-        for dps, (x, p, bits, max_terms, scale), (total, terms) in seen:
+        for dps, (series, _, max_terms, scale), (total, bits, terms) in seen:
             assert max_terms == budget and scale == 10 ** 85
             with mp.workdps(dps + 40):
-                u = mp.mpf((x, -bits))
+                exact_u = Fraction(*series.z) / (1 - series.s)     # z = u (1 - q^2)
+                u = mp.mpf(exact_u.numerator) / exact_u.denominator
                 q_sq = (mp.mpf(qv.numerator) / qv.denominator) ** 2
                 want, want_terms = entire_mpf_terms(u, q_sq, max_terms, mp.mpf(10) ** -85)
                 error = abs(mp.mpf((total, -bits)) - want)
@@ -590,14 +593,15 @@ class TestNumericEvaluation:
     def test_dps60_value_is_the_mpf_route_value(self, monkeypatch, g, qv, budget):
         value = fj_numeric(g, QParam(qv), TruncationPolicy.floating(budget), dps=60)
 
-        def mpf_route(x, p, bits, max_terms, scale):
+        def mpf_route(series, prec, max_terms, scale):
             # every integrand by the mpf forward loop at the working precision
             q_sq = (mp.mpf(qv.numerator) / qv.denominator) ** 2
-            total, terms = entire_mpf_terms(mp.mpf((x, -bits)), q_sq, max_terms,
-                                            mp.mpf(10) ** -85)
-            return to_fixed(total._mpf_, bits), terms
+            exact_u = Fraction(*series.z) / (1 - series.s)     # z = u (1 - q^2)
+            total, terms = entire_mpf_terms(mp.mpf(exact_u.numerator) / exact_u.denominator,
+                                            q_sq, max_terms, mp.mpf(10) ** -85)
+            return to_fixed(total._mpf_, prec), prec, terms
 
-        monkeypatch.setattr(fseries, "_entire_sum_fixed", mpf_route)
+        monkeypatch.setattr(fseries, "_qseries_fixed", mpf_route)
         want = fj_numeric(g, QParam(qv), TruncationPolicy.floating(budget), dps=60)
         with mp.workdps(80):
             assert mp.nstr(value, 60) == mp.nstr(want, 60)

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from qfj.errors import DivergenceError, DomainError, EvaluationError, TruncationError
+from qfj.errors import (DivergenceError, DomainError, EvaluationError, ResourceLimitError,
+                        TruncationError)
 from qfj.qcalc import (
     DEFAULT_POLICY,
     E_q,
     TruncationPolicy,
+    EXACT_DIGIT_LIMIT,
     _E_q_float_fallback,
     XPoly,
     e_q,
@@ -217,6 +219,36 @@ class TestSmallQExponential:
         exact = e_q(x, q, TruncationPolicy.exact(64))
         approx = e_q(float(x), q, DEFAULT_POLICY)
         assert approx == pytest.approx(float(exact), rel=1e-12)
+
+
+class TestExactModeAtExtremeQ:
+    """Exact mode needs no float q: at a q whose float is 0.0 or 1.0 it
+    returns the partial sum (e_q raised ValueError or ZeroDivisionError)."""
+
+    @pytest.mark.parametrize("qv", [Fraction(1, 10 ** 400), 1 - Fraction(1, 10 ** 400)],
+                             ids=["1e-400", "1-1e-400"])
+    @pytest.mark.parametrize("series", ["e_q", "E_q"])
+    def test_partial_sum_is_the_defining_one(self, qv, series):
+        q, x = QParam(qv), Fraction(1, 2)
+        growth = 0 if series == "e_q" else 1
+        want = sum(qv ** (growth * n * (n - 1) // 2) * x ** n / q_factorial(n).eval(qv)
+                   for n in range(8))
+        func = e_q if series == "e_q" else E_q
+        assert func(x, q, TruncationPolicy.exact(8)) == want
+
+    def test_height_past_the_limit_is_refused_before_summing(self):
+        # E_q at q = 1e-800 with 64 terms, as the exact kernel at q = 1e-400
+        # sums it: about 3.2 million digits, where the sum ran for minutes
+        q = QParam(Fraction(1, 10 ** 800))
+        with pytest.raises(ResourceLimitError,
+                           match=f"64 series terms would take about 3226194 digits, "
+                                 f"over the limit of {EXACT_DIGIT_LIMIT}"):
+            E_q(Fraction(-1, 2), q, TruncationPolicy.exact(64))
+
+    def test_the_largest_uses_stay_below_the_limit(self):
+        # the exact E_q reference of the fallback test, about 4.4e4 digits
+        value = E_q(Fraction(-30), QParam(Fraction(3, 4)), TruncationPolicy.exact(220))
+        assert max(abs(value.numerator), value.denominator) > 10 ** 10_000
 
 
 class TestLargeQExponential:

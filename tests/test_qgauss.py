@@ -3,7 +3,7 @@
 import hashlib
 import math
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 import mpmath as mp
 import pytest
@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from qfj.errors import DomainError, TruncationError
-from qfj.qcalc import DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, TruncationPolicy, _magnitude_scan
+from qfj.qcalc import (DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, TruncationPolicy,
+                       _qseries_exact, _qseries_fixed, _qseries_scan)
 from qfj import qgauss
 from qfj.qcore import QParam, QScalar, q_bracket, q_double_factorial, q_squared_factorial
 from qfj.qgauss import (
@@ -85,11 +86,37 @@ def interchanged_terms(qv):
         q_odd *= q_sq
 
 
+def printed_terms(qv: Fraction, n: int, terms: int, damping=1) -> list[Fraction]:
+    """damping^j T_j(n) for j < terms, each from the printed formula
+    (-1)^j q^(j(j+1)) / ((1-q^(2n+2j+1)) prod_{i<=j} (1-q^(2i))).
+    Reference for the summer's three modes on the c(q) family."""
+    out, pochhammer = [], Fraction(1)
+    for j in range(terms):
+        pochhammer *= 1 - qv ** (2 * j) if j else 1
+        out.append(damping ** j * (-1) ** j * qv ** (j * (j + 1))
+                   / ((1 - qv ** (2 * n + 2 * j + 1)) * pochhammer))
+    return out
+
+
+def printed_float_walk(qv: Fraction, n: int, cutoff: float = -45):
+    """(int(peak), needed) of log10 |T_j(n)| from the printed formula in
+    floats, each power from the float q, until a term is below 10^cutoff."""
+    qf = float(qv)
+    peak, log_poch = 0.0, 0.0
+    for j in count():
+        log_term = (j * (j + 1) * math.log10(qf) - math.log10(1 - qf ** (2 * n + 2 * j + 1))
+                    - log_poch)
+        peak = max(peak, log_term)
+        if log_term < cutoff:
+            return int(peak), j + 1
+        log_poch += math.log10(1 - qf ** (2 * j + 2))
+
+
 def forward_c_mp(qv: Fraction, max_terms: int, extra_dps: int):
     """c(q) as the plain forward mpf sum of interchanged_terms, with the term
     count and working precision _interchanged_c_mp takes from its scan."""
     cutoff = -(extra_dps + 25) if extra_dps else -45
-    peak, needed = _magnitude_scan(qgauss._interchanged_log_terms(float(qv)), max_terms, cutoff)
+    peak, needed, _ = _qseries_scan(qgauss._interchanged_series(qv), max_terms, cutoff, "", "")
     with mp.workdps(max(30, int(peak) + 60) + extra_dps):
         qm = mp.mpf(qv.numerator) / qv.denominator
         return 2 * mp.sqrt(1 - qm) * sum(islice(interchanged_terms(qm), needed)), needed
@@ -276,6 +303,15 @@ class TestNormalization:
             moment_by_integration(2, q, DEFAULT_POLICY)
         assert isinstance(c_of_q(q, TruncationPolicy.exact(8)).surd_value, QScalar)
 
+    def test_exact_float_value_is_inf_only_past_float_range(self):
+        # at q = 1 - 1e-400, float(r) raised OverflowError
+        q = QParam(1 - Fraction(1, 10 ** 400))
+        assert c_of_q(q, TruncationPolicy.exact(1)).float_value == pytest.approx(2e200)
+        result = c_of_q(q, TruncationPolicy.exact(8))
+        r = result.surd_value
+        assert abs(r) > 10 ** 509     # so |r| sqrt(1-q) > 1e309
+        assert result.float_value == (math.inf if r > 0 else -math.inf)
+
     def test_classical_limit_approaches_sqrt_two_pi(self):
         gap_9 = abs(c_of_q(QParam(Fraction(9, 10)), DEFAULT_POLICY).float_value
                     - SQRT_TWO_PI)
@@ -304,8 +340,7 @@ class TestMpNormalization:
         grid |= {Fraction(n - 1, n) for n in (round(2 * 5000 ** (i / 8)) for i in range(9))}
         grid |= {Fraction(999, 1000), Fraction(4999, 5000)}
         for qv in sorted(grid):
-            peak, needed = _magnitude_scan(
-                qgauss._interchanged_log_terms(float(qv)), 16384)
+            peak, needed, _ = _qseries_scan(qgauss._interchanged_series(qv), 16384, -45, "", "")
             dps = max(30, int(peak) + 60)
             got = float(qgauss._interchanged_sum(qv, needed, dps))
             assert got.hex() == float(parent_mpf_sum(qv, needed, dps)).hex(), qv
@@ -318,6 +353,49 @@ class TestMpNormalization:
         # the forward mpf sum's values; it takes seconds at these q
         result = c_of_q(QParam(qv), TruncationPolicy.floating(budget))
         assert (result.float_value.hex(), result.terms_used) == (pinned, used)
+
+
+class TestQSeriesSummer:
+    """The one summer on the c(q) family T_j(n), n <= 3, against the printed
+    formula: exact mode is the forward Fraction sum, the scan the direct
+    float walk, and fixed point within its written bound."""
+
+    @given(st.one_of(q_params, near_one), st.integers(min_value=0, max_value=3),
+           st.integers(min_value=1, max_value=24), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_exact_sum_is_the_forward_sum_of_the_printed_terms(self, q, n, terms, damped):
+        qv = q.value
+        damping = qv ** (2 * terms) if damped else 1     # the node sum's second series
+        got = _qseries_exact(qgauss._interchanged_series(qv, n, damping), terms)
+        assert got == sum(printed_terms(qv, n, terms, damping))
+
+    @given(st.one_of(q_params, near_one), st.integers(min_value=0, max_value=3))
+    @example(QParam(Fraction(9999, 10000)), 0)
+    @settings(max_examples=25, deadline=None)
+    def test_scan_is_the_direct_float_walk(self, q, n):
+        peak, needed, refusal = _qseries_scan(qgauss._interchanged_series(q.value, n),
+                                              16384, -45, "T_j(n)", "to converge")
+        assert (int(peak), needed) == printed_float_walk(q.value, n)
+        assert refusal is None
+
+    @given(st.one_of(q_params, near_one), st.integers(min_value=0, max_value=3),
+           st.integers(min_value=1, max_value=48), st.sampled_from([53, 200]))
+    @settings(max_examples=40, deadline=None)
+    def test_fixed_sum_is_within_its_bound_of_the_exact_sum(self, q, n, terms, prec):
+        # within 10^peak 2^-prec of the exact partial sum, backward over all
+        # the terms and forward to the stop rule
+        series = qgauss._interchanged_series(q.value, n)
+        terms_ = printed_terms(q.value, n, terms)
+        bound = max(1, *map(abs, terms_)) / Fraction(2) ** prec
+        total, bits, used = _qseries_fixed(series, prec, terms)
+        assert used == terms
+        assert abs(Fraction(total, 1 << bits) - sum(terms_)) <= bound
+        # a datum may be an unreduced (numerator, denominator) pair
+        n_, d_ = series.w.as_integer_ratio()
+        assert _qseries_fixed(series._replace(w=(3 * n_, 3 * d_)), prec, terms) == (
+            total, bits, used)
+        total, bits, used = _qseries_fixed(series, prec, terms, 10 ** 12)
+        assert abs(Fraction(total, 1 << bits) - sum(terms_[:used])) <= bound
 
 
 class TestMpNormalizationMemo:
