@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .errors import DomainError, EvaluationError, TruncationError
 from .qcalc import (DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, TruncationPolicy, E_q, _QSeries,
-                    _finite, _qseries_fixed, _qseries_scan)
+                    _finite, _qseries_forward, _qseries_scan)
 from .qcore import Frozen, QParam, QPolynomial, QScalar, index
 from .qgauss import PER_Q_CACHE_SIZE, _bounded_node_sum, _interchanged_c_mp, c_of_q
 
@@ -331,7 +331,7 @@ def _fj_numeric_mp(g, q: QParam, trunc: TruncationPolicy, dps: int):
     outer = qf * qf / (1 - qf) / bracket2 + abs(float(g)) / (1 - qf) ** 1.5 / fact3
     p = qv * qv
     peak, _, refusal = _qseries_scan(
-        _QSeries(p, Fraction(outer) * (1 - p), p), budget, -dps - 25,
+        _QSeries(p, Fraction(outer) * (1 - p)), budget, -dps - 25,
         f"I(g) integrand at g={float(g)!r}, q={q}", f"to reach 1e-{dps + 25} at x = nu")
     with mp.workdps(dps + 30 + int(peak)):
         qm = mp.mpf(qv.numerator) / qv.denominator
@@ -347,7 +347,7 @@ def _fj_numeric_mp(g, q: QParam, trunc: TruncationPolicy, dps: int):
                 raise refusal
             sign, man, exp, _ = (x * x * (even + odd * x))._mpf_     # u = man 2^exp
             z = ((-man if sign else man) * rest_n << max(exp, 0), rest_d << max(-exp, 0))
-            total, bits, _ = _qseries_fixed(_QSeries(p, z, p), prec, budget, scale)
+            total, bits, _ = _qseries_forward(_QSeries(p, z), prec, budget, scale)
             return mp.mpf((total, -bits))
 
         node_cutoff = mp.mpf(10) ** (-(dps + 20))

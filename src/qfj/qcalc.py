@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import count, islice
 from typing import Callable, NamedTuple, Union
 
 from .errors import (DivergenceError, DomainError, EvaluationError, ResourceLimitError,
@@ -205,7 +206,7 @@ def e_q(x: Real, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY) -> Real:
             f"needs about {math.ceil(2 * hump)} terms to converge, budget is "
             f"{trunc.max_terms}; raise max_terms")
     if exact:
-        return _qseries_exact(_QSeries(qv, xv * (1 - qv), qv, beta=0), trunc.max_terms)
+        return _qseries_exact(_QSeries(qv, xv * (1 - qv)), trunc.max_terms, beta=0)
     total = _entire_sum(xv, qv, 1, trunc.max_terms)
     if not math.isfinite(total):
         raise EvaluationError(
@@ -232,15 +233,29 @@ def _entire_sum(x: float, p: float, growth, max_terms: int) -> float:
 
 
 # The one q-series summer takes a series as data, t_n = U_n/(1 - w s^n), U_0 =
-# lead, U_(n+1)/U_n = z s^(beta n)/(1 - v s^n), beta 0 or 1, the rest exact
-# rationals: int, Fraction or an unreduced (numerator, denominator) pair. It
-# holds no formula; each route passes its own ratio to _qseries_scan (a float
-# walk of log10 |t_n|), _qseries_fixed or _qseries_exact.
-_QSeries = namedtuple("_QSeries", "s z v w beta lead", defaults=(0, 1, 1))
+# 1, U_(n+1)/U_n = z s^n/(1 - s^(n+1)), with s, z and w exact rationals: int,
+# Fraction or an unreduced (numerator, denominator) pair. It holds no formula;
+# each route passes its own ratio to _qseries_scan (a float walk of log10
+# |t_n|), _qseries_forward, _qseries_backward or _qseries_exact.
+_QSeries = namedtuple("_QSeries", "s z w", defaults=(0,))
 
 
 def _ratio(c) -> tuple[int, int]:
     return c if isinstance(c, tuple) else c.as_integer_ratio()
+
+
+def _qseries_logs(series: _QSeries):
+    """log10 |t_n| for n = 0, 1, ...: the logs of s and z come from their
+    integers, so a datum whose float underflows still has one; only w s^n and
+    s^(n+1) inside 1 - ... are floats, where underflow to 0 does no harm."""
+    (sn, sd), (zn, zd), (wn, wd) = map(_ratio, series)
+    log_s, s, w = math.log10(sn) - math.log10(sd), sn / sd, wn / wd
+    log_z = math.log10(abs(zn)) - math.log10(zd) if zn else -math.inf
+    log_u = 0.0
+    for n in count():
+        power = s ** n
+        yield log_u - math.log10(abs(1 - w * power))
+        log_u += log_z + n * log_s - math.log10(1 - s * power)
 
 
 def _qseries_scan(series: _QSeries, budget: int, cutoff: float, what: str, goal: str):
@@ -248,96 +263,98 @@ def _qseries_scan(series: _QSeries, budget: int, cutoff: float, what: str, goal:
     sizes the precision of a cancelling sum; the terms up to the first below
     10^cutoff, of at most max(_SCAN_LIMIT, budget + 1) (None if none comes);
     and the TruncationError for a budget short of that, else None."""
-    s, z, v, w, beta, lead = (n / d for n, d in map(_ratio, series))
-    log_s, log_z = math.log10(s), math.log10(abs(z))
-    log_u, peak, needed = math.log10(abs(lead)), 0.0, None
-    for n in range(max(_SCAN_LIMIT, budget + 1)):
-        log_term = log_u - math.log10(abs(1 - w * s ** n))
+    peak, needed = 0.0, None
+    for n, log_term in enumerate(islice(_qseries_logs(series), max(_SCAN_LIMIT, budget + 1))):
         peak = max(peak, log_term)
         if log_term < cutoff:
             needed = n + 1
             break
-        log_u += log_z + beta * n * log_s - math.log10(abs(1 - v * s ** n))
     if needed is not None and needed <= budget:
         return peak, needed, None
-    count = f"about {needed}" if needed else f"more than {_SCAN_LIMIT}"
+    many = f"about {needed}" if needed else f"more than {_SCAN_LIMIT}"
     return peak, needed, TruncationError(
-        f"{what} needs {count} terms {goal}, budget is {budget}; raise max_terms")
+        f"{what} needs {many} terms {goal}, budget is {budget}; raise max_terms")
 
 
-def _qseries_fixed(series: _QSeries, prec: int, terms: int, scale: int | None = None):
-    """(sum, bits, terms used) in fixed point, the sum an int at 2^bits. With
-    a stop `scale` the terms step forward until the first n >= 1 with
-    |t_n| scale <= max(|sum|, 1); without one all `terms` are summed backward,
-    t_n = 1/(1 - w s^n) + r_n t_(n+1), r_n = z s^(beta n)/(1 - v s^n), as an
-    int numerator/denominator pair shifted each step and divided once. Each
-    c s^n (c = z, v, w) steps by the small ints of s = A/B.
+def _fixed_start(series: _QSeries, prec: int, terms: int, top: int):
+    """(bits, z s^top, s^(top+1), w s^top), the data at 2^bits for a fixed-point
+    sum of `terms` terms from term `top`; each c s^n then steps by the small
+    ints of s = A/B.
 
     Error: each step floors a few times by 2^-bits; a stepped power is off by
     about n/(1-s) units forward, and backward its error grows by B/A a step.
     An error made at step n reaches the sum scaled by the term or tail at n,
     at most the terms' peak 10^peak. Guard bits: 32 for the 1/(1-s) factors,
-    the bit length of `terms` for the steps, and backward what B/A loses in
-    terms - 1 steps. So the sum is within about 10^peak 2^-prec of the exact
-    partial sum; callers size prec past the peak."""
-    s, z, v, w, beta, lead = series
-    a, b = _ratio(s)
-    top = terms - 1 if scale is None else 0
+    the bit length of `terms` for the steps, and what B/A loses in `top`
+    steps. So the sum is within about 10^peak 2^-prec of the exact partial
+    sum; callers size prec past the peak."""
+    (a, b), (zn, zd), (wn, wd) = map(_ratio, series)
     a_top, b_top = a ** top, b ** top
     bits = prec + 32 + terms.bit_length() + b_top.bit_length() - a_top.bit_length()
+    return (bits, (zn * a_top << bits) // (zd * b_top), (a * a_top << bits) // (b * b_top),
+            (wn * a_top << bits) // (wd * b_top))
+
+
+def _qseries_forward(series: _QSeries, prec: int, terms: int, scale: int):
+    """(sum, bits, terms used) in fixed point, the sum an int at 2^bits: the
+    terms step forward until the first n >= 1 with |t_n| scale <= max(|sum|,
+    1), at most `terms` of them (error and guard bits: _fixed_start)."""
+    a, b = _ratio(series.s)
+    bits, zs, ss, ws = _fixed_start(series, prec, terms, 0)
     one = 1 << bits
-
-    def fixed(c, power):          # c s^power at 2^bits, from the exact c
-        n, d = _ratio(c)
-        return (n * a_top ** power << bits) // (d * b_top ** power) if n else 0
-
-    zs, vs, ws = fixed(z, beta), fixed(v, 1), fixed(w, 1)
-    lead_n, lead_d = _ratio(lead)
-    if scale is None:
-        num, den = one, one - ws
-        for _ in range(top):
-            ws, vs, zs = ws * b // a, vs * b // a, zs * b // a if beta else zs
-            odd = one - ws
-            scaled = (one - vs) * den >> bits
-            num, den = (scaled << bits) + odd * (zs * num >> bits), odd * scaled
-            shift = den.bit_length() - bits
-            num, den = num >> shift, den >> shift
-        return (lead_n * num << bits) // (lead_d * den), bits, terms
-    total, term = 0, (lead_n << bits) // lead_d
+    total, term = 0, one
     for n in range(terms):
         t = (term << bits) // (one - ws) if ws else term
         total += t
         if n and abs(t) * scale <= max(abs(total), one):
             return total, bits, n + 1
-        term = term * zs // (one - vs)
-        vs, ws, zs = vs * a // b, ws * a // b, zs * a // b if beta else zs
+        term = term * zs // (one - ss)
+        ss, ws, zs = ss * a // b, ws * a // b, zs * a // b
     return total, bits, terms
 
 
-def _qseries_exact(series: _QSeries, terms: int) -> Fraction:
-    """The first `terms` terms summed exactly, nested as t_0 (1 + r_0 (1 + ...)),
-    r_n = t_(n+1)/t_n: each step multiplies by a small ratio, normalized once,
-    and adds 1. Before that, t_n has at most h(lead) + n (h(z) + h(v) + 1) +
-    (beta+1) n(n-1)/2 h(s) + h(w) + n h(s) + 1 bits, h the bit length of a
-    datum's larger part; past EXACT_DIGIT_LIMIT digits, ResourceLimitError."""
-    s, z, v, w, _, lead = (Fraction(*_ratio(c)) for c in series)
-    h = [max(abs(c.numerator), c.denominator).bit_length() for c in (s, z, v, w, lead)]
-    n, beta = terms - 1, series.beta
-    digits = math.ceil(0.30103 * (h[4] + n * (h[1] + h[2] + 1) + (beta + 1) * n * (n - 1) // 2
-                                  * h[0] + (h[3] + n * h[0] + 1 if w else 0)))
+def _qseries_backward(series: _QSeries, prec: int, terms: int):
+    """(sum, bits) of all `terms` terms in fixed point, the sum an int at
+    2^bits, summed backward as t_n = 1/(1 - w s^n) + r_n t_(n+1), r_n = z
+    s^n/(1 - s^(n+1)): an int numerator/denominator pair shifted each step and
+    divided once (error and guard bits: _fixed_start)."""
+    a, b = _ratio(series.s)
+    bits, zs, ss, ws = _fixed_start(series, prec, terms, terms - 1)
+    one = 1 << bits
+    num, den = one, one - ws
+    for _ in range(terms - 1):
+        ws, ss, zs = ws * b // a, ss * b // a, zs * b // a
+        odd = one - ws
+        scaled = (one - ss) * den >> bits
+        num, den = (scaled << bits) + odd * (zs * num >> bits), odd * scaled
+        shift = den.bit_length() - bits
+        num, den = num >> shift, den >> shift
+    return (num << bits) // den, bits
+
+
+def _qseries_exact(series: _QSeries, terms: int, beta: int = 1) -> Fraction:
+    """The first `terms` terms summed exactly, with U_(n+1)/U_n = z s^(beta
+    n)/(1 - s^(n+1)): beta = 1 as in _QSeries, 0 for e_p. Nested as t_0 (1 +
+    r_0 (1 + ...)), r_n = t_(n+1)/t_n: each step multiplies by a small ratio,
+    normalized once, and adds 1. Before that, t_n has at most 1 + n (h(z) +
+    h(s) + 1) + (beta+1) n(n-1)/2 h(s) + h(w) + n h(s) + 1 bits, h the bit
+    length of a datum's larger part; past EXACT_DIGIT_LIMIT digits,
+    ResourceLimitError."""
+    (a, b), (zn, zd), (wn, wd) = data = list(map(_ratio, series))
+    h, n = [max(abs(c), d).bit_length() for c, d in data], terms - 1
+    digits = math.ceil(0.30103 * (1 + n * (h[1] + h[0] + 1) + (beta + 1) * n * (n - 1) // 2
+                                  * h[0] + (h[2] + n * h[0] + 1 if wn else 0)))
     if digits > EXACT_DIGIT_LIMIT:
         raise ResourceLimitError(
             f"an exact sum of {terms} series terms would take about {digits} digits, "
             f"over the limit of {EXACT_DIGIT_LIMIT}; lower max_terms or use float mode")
-    a, b = s.as_integer_ratio()
-    (zn, zd), (vn, vd), (wn, wd) = z.as_integer_ratio(), v.as_integer_ratio(), w.as_integer_ratio()
     nested = Fraction(1)
     for j in reversed(range(n)):
         aj, bj = a ** j, b ** j
-        ratio = Fraction(zn * aj ** beta * vd * bj * b * (wd * bj - wn * aj),
-                         zd * bj ** beta * (vd * bj - vn * aj) * (wd * bj * b - wn * aj * a))
+        ratio = Fraction(zn * aj ** beta * b * bj * b * (wd * bj - wn * aj),
+                         zd * bj ** beta * (b * bj - a * aj) * (wd * b * bj - wn * a * aj))
         nested = 1 + ratio * nested
-    return lead * nested / (1 - w)
+    return nested * wd / (wd - wn)
 
 
 def _E_q_float_fallback(x: float, q: QParam, trunc: TruncationPolicy) -> float:
@@ -394,7 +411,7 @@ def E_q(x: Real, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY) -> Real:
     """
     if trunc.is_exact and not isinstance(x, float):
         xv, qv = as_fraction(x, "argument"), q.value
-        return _qseries_exact(_QSeries(qv, xv * (1 - qv), qv), trunc.max_terms)
+        return _qseries_exact(_QSeries(qv, xv * (1 - qv)), trunc.max_terms)
     xf, qf, tol = _finite(x), q.as_float, FLOAT_TAIL_TOLERANCE
     s = -xf * (1.0 - qf)      # |x| over the e_q radius
     if 0.0 < s < 1.0:

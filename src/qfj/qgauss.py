@@ -15,12 +15,13 @@ import math
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import count, islice
 from typing import NamedTuple
 
 from .errors import DomainError, TruncationError
 from .qcalc import (DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, E_q, TruncationPolicy, _QSeries,
-                    _finite, _qseries_exact, _qseries_fixed, _qseries_scan)
+                    _finite, _qseries_backward, _qseries_exact, _qseries_logs,
+                    _qseries_scan)
 from .qcore import QParam, QScalar, as_fraction, index, q_double_factorial, QPolynomial
 
 PER_Q_CACHE_SIZE = 256  # entries in each per-q memo: a few q values' worth
@@ -31,14 +32,20 @@ MOMENT_TOLERANCE = 1e-8  # quadrature moments and their ratios vs closed forms
 
 def kernel_eval_x2(x_squared, q: QParam,
                    trunc: TruncationPolicy = DEFAULT_POLICY):
-    """Gaussian kernel as a function of x^2: sum_n (-1)^n q^(n(n+1)) x^(2n) /
-    ((1+q)^n [n]_{q^2}!) = E_{q^2}(-q^2 x^2 / [2]_q), exact in rationals, float
-    by E_q's negative-argument routes (every node of the [-nu, nu] grid lies
-    inside the e_{q^2} radius). A float x^2 that is not finite raises
-    DomainError."""
-    exact = trunc.is_exact and not isinstance(x_squared, float)
-    qv, x_squared = ((q.value, as_fraction(x_squared, "x^2")) if exact
-                     else (q.as_float, _finite(x_squared)))
+    """Gaussian kernel as a function of x^2.
+
+    The kernel is the entire series sum_n (-1)^n q^(n(n+1)) x^(2n) /
+    ((1+q)^n [n]_{q^2}!), that is E_{q^2}(-q^2 x^2 / [2]_q). Exact mode sums
+    it directly in rationals. Float mode goes through E_q's negative-argument
+    route: the reciprocal 1/e_{q^2}(q^2 x^2 / [2]_q), a positive-term series
+    with no cancellation, wherever it converges within the budget (every
+    node of the [-nu, nu] grid lies inside the e_{q^2} radius), and Euler's
+    product elsewhere. A float x^2 that is not finite raises DomainError.
+    """
+    if trunc.is_exact and not isinstance(x_squared, float):
+        qv, x_squared = q.value, as_fraction(x_squared, "x^2")
+    else:
+        qv, x_squared = q.as_float, _finite(x_squared)
     return E_q(-(qv * qv * x_squared / (1 + qv)), q.squared, trunc)
 
 
@@ -68,7 +75,7 @@ def _interchanged_series(qv: Fraction, n: int = 0, damping=1) -> _QSeries:
     prod_{i<=j} (1-q^(2i))), as summer data: U_j = T_j(n) (1-q^(2n+2j+1)) has
     ratio -damping q^(2j+2)/(1-q^(2j+2)). T_j(0) are the c(q) series' terms."""
     q_sq = qv * qv
-    return _QSeries(q_sq, -damping * q_sq, q_sq, qv ** (2 * n + 1))
+    return _QSeries(q_sq, -damping * q_sq, qv ** (2 * n + 1))
 
 
 def _interchanged_c_mp(qv: Fraction, max_terms: int, extra_dps: int = 0) -> tuple[Fraction, int]:
@@ -88,11 +95,11 @@ def _interchanged_c_mp(qv: Fraction, max_terms: int, extra_dps: int = 0) -> tupl
 @lru_cache(maxsize=PER_Q_CACHE_SIZE)
 def _interchanged_sum(qv: Fraction, needed: int, dps: int) -> Fraction:
     """The first `needed` terms of the c(q) series, times 2 sqrt(1-q), as
-    v / 2^bits: summed backward by _qseries_fixed at mpmath's precision for
+    v / 2^bits: summed backward by _qseries_backward at mpmath's precision for
     `dps` digits, within 10^peak 2^-prec, and sqrt(1-q) by isqrt at 2^-bits.
     Keyed by the exact q: two q with the same float have different sums."""
     prec = round((dps + 1) * 3.3219280948873626)   # mpmath's bits for dps digits
-    total, bits, _ = _qseries_fixed(_interchanged_series(qv), prec, needed)
+    total, bits = _qseries_backward(_interchanged_series(qv), prec, needed)
     a, b = qv.numerator, qv.denominator
     root = math.isqrt(((b - a) << 2 * bits) // b)     # sqrt(1-q) at 2^bits
     return Fraction(2 * root * total >> bits, 1 << bits)
@@ -100,10 +107,11 @@ def _interchanged_sum(qv: Fraction, needed: int, dps: int) -> Fraction:
 
 def _interchanged_partials(q: QParam, rungs) -> list[float]:
     """The c(q) partial sums of `terms` terms, for each `terms` in rungs, as
-    floats at a float c(q)'s working precision: one scan, then fixed point."""
-    peak = _qseries_scan(_interchanged_series(q.value), max(rungs, default=0), -45, "", "")[0]
-    dps = max(30, int(peak) + 60)
-    return [float(_interchanged_sum(q.value, terms, dps)) for terms in rungs]
+    floats, in fixed point at 60 digits past the peak of their terms."""
+    if not rungs:
+        return []
+    peak = max(islice(_qseries_logs(_interchanged_series(q.value)), max(rungs)))
+    return [float(_interchanged_sum(q.value, terms, int(peak) + 60)) for terms in rungs]
 
 
 def _bounded_node_sum(nodes, budget: int, tol, what: str, refusal=None):
@@ -184,16 +192,18 @@ def _node_sum(n: int, q: QParam, trunc: TruncationPolicy):
     node weight: sum_m q^m x_m^(2n) kernel(x_m^2) at x_m^2 = q^(2m) nu^2.
     Returns (sum, nodes used).
 
-    Exact mode sums the full budget, M nodes of the M-term kernel, by kernel
-    term j: the nodes of term j are geometric in q^(2n+2j+1), so the sum is
+    Exact mode sums the full budget, M = max_terms nodes of the M-term kernel,
+    by kernel term j and without evaluating a kernel: the nodes of term j are
+    geometric in q^(2n+2j+1), so the sum is
     nu^(2n) sum_{j<M} T_j(n) (1 - q^((2n+2j+1)M)) (see _interchanged_series).
 
     Float mode sums node by node in _bounded_node_sum with the tail bound
     q^m x_m^(2n) d/(1-d), d = q^(2n+1) (the kernel is at most 1 on the
-    support, so after M nodes it is at least d^M of the sum). Each node's
-    kernel is evaluated once per process per (exact q, budget) and read back
-    from _node_kernels, fetched when the first node is drawn (so a refused
-    budget touches no memo) and grown only as far as a sum reads.
+    support, so after M nodes it is at least d^M of the sum). Every n steps
+    through the same x_m^2, so each node's kernel_eval_x2 is evaluated once
+    per process per (exact q, budget) and read back from _node_kernels by
+    every later sum; the entry is fetched when the first node is drawn, so a
+    refused budget touches no memo, and it grows only as far as a sum reads.
     """
     budget = trunc.max_terms
     if trunc.is_exact:

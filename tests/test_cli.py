@@ -73,11 +73,14 @@ def test_negative_order_exits_with_usage_error(args):
      "cannot write --out /nonexistent/dir/x.csv: No such file or directory"),
     (("verify", "--q", "1e-400", "--suite", "gauss"),
      "an exact sum of 64 series terms would take about 3251417 digits"),
+    (("cq", "--q", "1e-200"), "q=1/1" + "0" * 400 + " rounds to 0.0 as a float"),
 ])
 def test_bad_input_exits_with_one_error_line(args, phrase):
     # 1e-5000 exited 1 with a ValueError traceback from str(q), an
     # unwritable --out with a FileNotFoundError traceback, and the exact
-    # kernel at q = 1e-400 was still summing after minutes
+    # kernel at q = 1e-400 was still summing after minutes. At q = 1e-200
+    # float c(q) runs, its scan taking log q^2 from integers since q^2 is 0.0
+    # as a float, and the double sum then refuses q^2
     proc = run_cli(*args, expect=2)
     assert proc.stdout == ""
     [line] = proc.stderr.splitlines()

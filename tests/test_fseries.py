@@ -67,7 +67,7 @@ def spy_integrands(monkeypatch, count: int):
     dps, args, result) of the first `count` integrands, then end the
     quadrature."""
     seen = []
-    original = fseries._qseries_fixed
+    original = fseries._qseries_forward
 
     def spy(*args):
         seen.append((mp.mp.dps, args, original(*args)))
@@ -75,7 +75,7 @@ def spy_integrands(monkeypatch, count: int):
             raise FirstIntegrands
         return seen[-1][2]
 
-    monkeypatch.setattr(fseries, "_qseries_fixed", spy)
+    monkeypatch.setattr(fseries, "_qseries_forward", spy)
     return seen
 
 
@@ -464,7 +464,7 @@ class TestNumericEvaluation:
         calls = []
         monkeypatch.setattr(fseries, "_interchanged_c_mp",
                             lambda *args, **kwargs: calls.append(args))
-        monkeypatch.setattr(fseries, "_qseries_fixed", lambda *args: calls.append(args))
+        monkeypatch.setattr(fseries, "_qseries_forward", lambda *args: calls.append(args))
         with pytest.raises(DomainError, match="dps must be a positive integer"):
             fj_numeric(Fraction(1, 20), Q_HALF, dps=dps)
         assert calls == []
@@ -476,7 +476,7 @@ class TestNumericEvaluation:
         # leaked an OverflowError
         calls = []
         for name in ("c_of_q", "E_q", "_interchanged_c_mp", "_qseries_scan",
-                     "_qseries_fixed"):
+                     "_qseries_forward"):
             monkeypatch.setattr(fseries, name, lambda *args, **kwargs: calls.append(args))
         with pytest.raises(DomainError, match="must be finite"):
             fj_numeric(g, Q_HALF, dps=dps)
@@ -500,6 +500,14 @@ class TestNumericEvaluation:
             value = fj_numeric(0, QParam(qv), TruncationPolicy.floating(budget), dps=60)
             assert abs(value - 1) < mp.mpf(10) ** -75
 
+    def test_q_whose_square_underflows_runs_at_high_precision(self):
+        # q^2 and so the outer-node argument are 0.0 as floats (a scan from
+        # them raised ValueError on log10(0.0)). Only the nodes +-nu count, and
+        # there E_{q^2}(u) is 1 + u: (1+g + 1-g)/2 = 1
+        with mp.workdps(100):
+            value = fj_numeric(Fraction(1, 10), QParam(Fraction(1, 10 ** 200)), dps=60)
+            assert abs(value - 1) < mp.mpf(10) ** -75
+
     @pytest.mark.parametrize("g, qv, budget, dps, tail", [
         (0.01, Fraction(99, 100), 512, None, "5.834e-01"),        # was 0.9535
         (Fraction(1, 100), Fraction(99, 100), 512, 60, "5.834e-01"),
@@ -510,7 +518,7 @@ class TestNumericEvaluation:
                                                            budget, dps, tail):
         calls = []
         monkeypatch.setattr(fseries, "E_q", lambda *args: calls.append(args))
-        monkeypatch.setattr(fseries, "_qseries_fixed", lambda *args: calls.append(args))
+        monkeypatch.setattr(fseries, "_qseries_forward", lambda *args: calls.append(args))
         with pytest.raises(TruncationError,
                            match=re.escape(f"tail bounded by {tail} after {budget} nodes")):
             fj_numeric(g, QParam(qv), TruncationPolicy.floating(budget), dps=dps)
@@ -522,7 +530,7 @@ class TestNumericEvaluation:
         # by the first and 28 by the second; the 24-term integrand used to be
         # summed short at every node
         calls = []
-        monkeypatch.setattr(fseries, "_qseries_fixed", lambda *args: calls.append(args))
+        monkeypatch.setattr(fseries, "_qseries_forward", lambda *args: calls.append(args))
         for budget, message in (
                 (24, "normalization series at q=3/4 needs about 27 terms to converge, "
                      "budget is 24"),
@@ -601,7 +609,7 @@ class TestNumericEvaluation:
                                             q_sq, max_terms, mp.mpf(10) ** -85)
             return to_fixed(total._mpf_, prec), prec, terms
 
-        monkeypatch.setattr(fseries, "_qseries_fixed", mpf_route)
+        monkeypatch.setattr(fseries, "_qseries_forward", mpf_route)
         want = fj_numeric(g, QParam(qv), TruncationPolicy.floating(budget), dps=60)
         with mp.workdps(80):
             assert mp.nstr(value, 60) == mp.nstr(want, 60)

@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 
 from qfj.errors import DomainError, TruncationError
 from qfj.qcalc import (DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, TruncationPolicy,
-                       _qseries_exact, _qseries_fixed, _qseries_scan)
+                       _qseries_backward, _qseries_exact, _qseries_forward, _qseries_scan)
 from qfj import qgauss
 from qfj.qcore import QParam, QScalar, q_bracket, q_double_factorial, q_squared_factorial
 from qfj.qgauss import (
@@ -303,6 +303,11 @@ class TestNormalization:
             moment_by_integration(2, q, DEFAULT_POLICY)
         assert isinstance(c_of_q(q, TruncationPolicy.exact(8)).surd_value, QScalar)
 
+    def test_q_whose_square_underflows_keeps_its_float_c_of_q(self):
+        # q^2 is 0.0 as a float; the scan takes its log from the integers
+        q = QParam(Fraction(1, 10 ** 200))
+        assert c_of_q(q).float_value.hex() == "0x1.0000000000000p+1"
+
     def test_exact_float_value_is_inf_only_past_float_range(self):
         # at q = 1 - 1e-400, float(r) raised OverflowError
         q = QParam(1 - Fraction(1, 10 ** 400))
@@ -387,14 +392,13 @@ class TestQSeriesSummer:
         series = qgauss._interchanged_series(q.value, n)
         terms_ = printed_terms(q.value, n, terms)
         bound = max(1, *map(abs, terms_)) / Fraction(2) ** prec
-        total, bits, used = _qseries_fixed(series, prec, terms)
-        assert used == terms
+        total, bits = _qseries_backward(series, prec, terms)
         assert abs(Fraction(total, 1 << bits) - sum(terms_)) <= bound
         # a datum may be an unreduced (numerator, denominator) pair
         n_, d_ = series.w.as_integer_ratio()
-        assert _qseries_fixed(series._replace(w=(3 * n_, 3 * d_)), prec, terms) == (
-            total, bits, used)
-        total, bits, used = _qseries_fixed(series, prec, terms, 10 ** 12)
+        assert _qseries_backward(series._replace(w=(3 * n_, 3 * d_)), prec, terms) == (
+            total, bits)
+        total, bits, used = _qseries_forward(series, prec, terms, 10 ** 12)
         assert abs(Fraction(total, 1 << bits) - sum(terms_[:used])) <= bound
 
 
