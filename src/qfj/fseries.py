@@ -199,18 +199,27 @@ def fj_blocks(m: int, q: QParam, max_c: int) -> tuple[QScalar, ...]:
                  in _integer_blocks(m // 2, q.value, max_c))
 
 
+def _summed_blocks(d: int, qv: Fraction, max_c: int) -> tuple[int, int, int]:
+    """(sum, last, denominator): the blocks c <= max_c of the g^(2d)
+    coefficient at qv summed as integers over the last block's denominator,
+    which every earlier one divides, and the last block's numerator over it.
+    Nothing is normalized."""
+    total = numerator = denominator = 0
+    for numerator, denominator, step in _integer_blocks(d, qv, max_c):
+        total = total * step + numerator
+    return total, numerator, denominator
+
+
 def fj_coefficient(m: int, q: QParam, max_c: int = 12) -> QScalar:
     """Coefficient of g^m in the perturbative series I(g).
 
     Odd m vanish structurally (only even powers of g appear); even m sums the
-    per-c blocks up to max_c, as integers over the last block's denominator,
-    which every earlier one divides: one normalization. Always exact.
+    per-c blocks up to max_c in one integer pass (_summed_blocks) and
+    normalizes once. Always exact.
     """
     if _series_indices(m, max_c) % 2:
         return QScalar(0)
-    total = denominator = 0
-    for numerator, denominator, step in _integer_blocks(m // 2, q.value, max_c):
-        total = total * step + numerator
+    total, _, denominator = _summed_blocks(m // 2, q.value, max_c)
     return QScalar(total, denominator)
 
 
@@ -270,44 +279,58 @@ def fj_coefficient_via_moments(m: int, q: QParam, max_c: int = 12) -> QScalar:
     return QScalar(total)
 
 
-def _fj_quadrature(integrand, g, q: QParam, qn, nu, budget: int, tol):
-    """Jackson quadrature over [-nu, nu] of integrand(x) = E_{q^2}(u(x)),
+def _fj_quadrature(integrand, g, q: QParam, qn, nu, budget: int, tol, less_one=False):
+    """Jackson quadrature over [-nu, nu] of f(x) = E_{q^2}(u(x)),
     u(x) = -q^2 x^2/[2]_q + g x^3/[3]_q!, in the arithmetic of qn = q and nu
-    (float or mpf): (1-q) nu times the halves sum_m q^m integrand(+-q^m nu),
-    each summed on its own, in node order, by _bounded_node_sum.
+    (float or mpf): (1-q) nu times the halves sum_m q^m f(+-q^m nu), each
+    summed on its own, in node order, by _bounded_node_sum. With less_one,
+    integrand(x) is f(x) - 1 and each half starts at node 0 from the
+    constant's full sum 1/(1-q), so every partial sum is still the half's.
 
     Tail bound. Let a = q^2/[2]_q and b = |g|/[3]_q!. Then
     U(x) = a x^2 + b x^3 >= |u(+-x)|, and U increases in x. E_p has positive
-    coefficients, so |E_p(u)| <= E_p(|u|), and E_p(y) <= e^y for y >= 0
+    coefficients c_j, so |E_p(u)| <= E_p(|u|), and E_p(y) <= e^y for y >= 0
     because [k]_p >= k p^(k-1). So after node m a half's tail is at most
-    q^(m+1) e^(U(x_(m+1)))/(1-q). Only q^(m+1) is kept in the route's
+    q^(m+1) e^(U(x_(m+1)))/(1-q). With less_one it is at most
+    q^(m+1) U e^U/(1-q) at the same U: c_(j+1) <= c_j gives
+    |E_p(u) - 1| <= |u| E_p(|u|). Only q^(m+1) is kept in the route's
     arithmetic; the rest is a float (inf past float range), as a bound needs.
 
     Refusal. If b nu <= a, every u(+-x) is <= 0 and |u| <= U(nu) <= 2/(1-q^2).
     Then every factor 1 + (1-q^2) q^(2k) u of Euler's product for E_{q^2}(u)
     lies in [-1, 1], so |E| <= 1 at every node. A half then sums to at most
     1/(1-q) while its bound after M nodes is at least q^M/(1-q), so q^M is
-    a floor on tail/|sum|. Without that condition no floor is known, and the
-    guard decides.
+    a floor on tail/|sum|. With less_one each term q^m (E - 1) lies in
+    [-2 q^m, 0], so a partial sum from 1/(1-q) is still at most 1/(1-q) in
+    size, while the bound is at least q^M U(x_M)/(1-q) >= q^(3M) a nu^2/(1-q):
+    the floor is q^(3M) a nu^2. Without that condition no floor is known, and
+    the guard decides.
     """
     qf, gf = float(qn), float(g)
     bracket2, fact3 = _low_brackets(qf)
     a, b, log_per_node = qf * qf / bracket2, abs(gf) / fact3, -math.log1p(-qf)
 
     def tail_from(weight, x):
-        y = a * float(x) ** 2 + b * abs(float(x)) ** 3 + log_per_node
-        return weight * (math.exp(y) if y < 709.0 else math.inf)
+        big_u = a * float(x) ** 2 + b * abs(float(x)) ** 3
+        y = big_u + log_per_node
+        bound = math.exp(y) if y < 709.0 else math.inf
+        return weight * (big_u * bound if less_one else bound)
+
+    seed = 1 / (1 - qn) if less_one else 0
 
     def nodes(x):
-        weight = 1
+        weight, term = 1, seed + integrand(x)
         while True:
-            term = weight * integrand(x)
             weight *= qn
             x *= qn
             yield term, tail_from(weight, x)
+            term = weight * integrand(x)
 
     floor = qn ** budget
-    refusal = (floor, tail_from(floor, floor * nu)) if b * float(nu) <= a else None
+    refusal = None
+    if b * float(nu) <= a:
+        refusal = (floor ** 3 * a * nu * nu if less_one else floor,
+                   tail_from(floor, floor * nu))
     what = f"Jackson sum of the I(g) integrand at g={gf!r}, q={q}"
     plus, minus = (_bounded_node_sum(nodes(start), budget, tol, what, refusal)[0]
                    for start in (nu, -nu))
@@ -322,7 +345,9 @@ def _fj_numeric_mp(g, q: QParam, trunc: TruncationPolicy, dps: int):
     one scan there sets the precision, dps + 30 digits past the peak, and a
     budget short of the cutoff 10^-(dps+25) raises at the first integrand (so
     a quadrature refusal keeps its message). Each integrand is summed forward
-    in fixed point from E_p's ratio u (1-p) p^n/(1-p^(n+1))."""
+    in fixed point from E_p's ratio u (1-p) p^n/(1-p^(n+1)) and returned as
+    E_p(u) - 1, the sum less 2^bits: _fj_quadrature sums the constant 1 in
+    closed form."""
     import mpmath as mp
 
     qv, qf, budget = q.value, q.as_float, trunc.max_terms
@@ -348,10 +373,10 @@ def _fj_numeric_mp(g, q: QParam, trunc: TruncationPolicy, dps: int):
             sign, man, exp, _ = (x * x * (even + odd * x))._mpf_     # u = man 2^exp
             z = ((-man if sign else man) * rest_n << max(exp, 0), rest_d << max(-exp, 0))
             total, bits, _ = _qseries_forward(_QSeries(p, z), prec, budget, scale)
-            return mp.mpf((total, -bits))
+            return mp.mpf((total - (1 << bits), -bits))           # E_p(u) - 1
 
         node_cutoff = mp.mpf(10) ** (-(dps + 20))
-        integral = _fj_quadrature(integrand, gm, q, qm, nu_m, budget, node_cutoff)
+        integral = _fj_quadrature(integrand, gm, q, qm, nu_m, budget, node_cutoff, True)
         return integral * c_value.denominator / c_value.numerator
 
 

@@ -15,9 +15,9 @@ from typing import NamedTuple
 
 from . import SUITE_NAMES
 from .errors import DomainError, TruncationError
-from .fseries import (fj_blocks, fj_coefficient, fj_coefficient_via_moments,
-                      fj_numeric, fj_series, fj_term, lambda_closed_form,
-                      lambda_oracle)
+from .fseries import (_summed_blocks, fj_blocks, fj_coefficient,
+                      fj_coefficient_via_moments, fj_numeric, fj_series, fj_term,
+                      lambda_closed_form, lambda_oracle)
 from .pairings import (OrderedPairing, enumerate_pairings, weight,
                        weight_exponent_counts, weighted_pairing_sum)
 from .qcalc import (DEFAULT_POLICY, E_q, TruncationPolicy, XPoly, e_q,
@@ -252,7 +252,8 @@ def classical_limit_trend(q: QParam, trunc: TruncationPolicy,
 def numeric_matches_series(q: QParam, trunc: TruncationPolicy) -> CheckResult:
     # the series omits A6 g^6: g keeps that under a tenth of the 1e-10 tolerance
     max_c = _series_max_c(q, 12)
-    g = min(0.05, (1e-11 / abs(float(fj_coefficient(6, q, max_c)))) ** (1 / 6))
+    a6 = abs(float(fj_coefficient(6, q, max_c)))    # 0.0 once A6 underflows
+    g = 0.05 if a6 * 0.05 ** 6 <= 1e-11 else (1e-11 / a6) ** (1 / 6)
     gap = abs(fj_numeric(g, q, trunc) - fj_series(4, q, max_c).eval(g))
     return CheckResult("numeric-matches-series", gap < 1e-10,
                        f"float quadrature vs order-4 series at g={g:.3g}: gap {gap:.3e}")
@@ -269,17 +270,20 @@ def g6_scaling(q: QParam, trunc: TruncationPolicy) -> CheckResult:
     """
     import mpmath as mp
 
-    dps = 60
+    dps, max_c = 60, _series_max_c(q, 36)
     q_sq = q.value ** 2
-    rows = {m: fj_blocks(m, q, _series_max_c(q, 36)) for m in (0, 2, 4)}
+    rows = {}                       # m: (A_m, |last block|), each from one integer pass
+    for m in (0, 2, 4):
+        total, last, denominator = _summed_blocks(m // 2, q.value, max_c)
+        rows[m] = Fraction(total, denominator), abs(Fraction(last, denominator))
     gs, errs, bounds = (Fraction(1, 10), Fraction(1, 20), Fraction(1, 40)), [], []
     with mp.workdps(dps):
         for g in gs:
-            exact = sum(sum(row) * g ** m for m, row in rows.items())
+            exact = sum(coefficient * g ** m for m, (coefficient, _) in rows.items())
             target = mp.mpf(exact.numerator) / exact.denominator
             errs.append(abs(fj_numeric(g, q, trunc, dps=dps) - target))
-            bounds.append(float(sum(abs(row[-1]) * g ** m
-                                    for m, row in rows.items()) * q_sq / (1 - q_sq)))
+            bounds.append(float(sum(last * g ** m for m, (_, last) in rows.items())
+                                * q_sq / (1 - q_sq)))
         ratios = [errs[0] / errs[1], errs[1] / errs[2]]
         detail = (f"residual ratios under g -> g/2: "
                   f"{float(ratios[0]):.1f}, {float(ratios[1]):.1f} (want ~64)")

@@ -79,6 +79,20 @@ def spy_integrands(monkeypatch, count: int):
     return seen
 
 
+def spy_node_counts(monkeypatch):
+    """Record the nodes each half of fj_numeric's quadrature sums."""
+    used = []
+    original = fseries._bounded_node_sum
+
+    def spy(*args):
+        total, count = original(*args)
+        used.append(count)
+        return total, count
+
+    monkeypatch.setattr(fseries, "_bounded_node_sum", spy)
+    return used
+
+
 def nested_fraction_blocks(m: int, q: QParam, max_c: int) -> list[Fraction]:
     """The per-c blocks of fj_blocks as Fractions, from the k = 0 term by
     exact ratios: sum_k fj_term(c, k, d) = T_0 (1 + r_0 (1 + r_1 (...))),
@@ -277,6 +291,10 @@ class TestSeriesCoefficients:
                 assert [(b.numerator, b.denominator) for b in blocks] == [
                     (w.numerator, w.denominator) for w in want[:max_c + 1]], (qv, max_c)
                 assert fj_coefficient(m, q, max_c) == sum(blocks), (qv, max_c)
+                # g6-scaling's one pass: the same sum and last block
+                total, last, denominator = fseries._summed_blocks(m // 2, qv, max_c)
+                assert Fraction(total, denominator) == sum(blocks), (qv, max_c)
+                assert Fraction(last, denominator) == blocks[-1], (qv, max_c)
 
     @pytest.mark.parametrize("qv, digest", [
         (Fraction(99, 100),
@@ -510,7 +528,7 @@ class TestNumericEvaluation:
 
     @pytest.mark.parametrize("g, qv, budget, dps, tail", [
         (0.01, Fraction(99, 100), 512, None, "5.834e-01"),        # was 0.9535
-        (Fraction(1, 100), Fraction(99, 100), 512, 60, "5.834e-01"),
+        (Fraction(1, 100), Fraction(99, 100), 512, 60, "9.747e-04"),  # was 5.834e-01
         (0.0, Fraction(409, 410), 4096, None, "1.857e-02"),       # was 1.07e-46
         (0.01, Fraction(16, 17), 64, None, "3.522e-01"),          # was 0.9317
     ])
@@ -599,7 +617,11 @@ class TestNumericEvaluation:
         (Fraction(1, 64), Fraction(16, 17), 544),
     ])
     def test_dps60_value_is_the_mpf_route_value(self, monkeypatch, g, qv, budget):
+        used = spy_node_counts(monkeypatch)
         value = fj_numeric(g, QParam(qv), TruncationPolicy.floating(budget), dps=60)
+        # a half stops near q^(3m) <= 1e-80, past each of these budgets (89
+        # nodes at 1/2): every cell sums all its nodes and passes the guard
+        assert used == [budget, budget]
 
         def mpf_route(series, prec, max_terms, scale):
             # every integrand by the mpf forward loop at the working precision
@@ -614,6 +636,25 @@ class TestNumericEvaluation:
         with mp.workdps(80):
             assert mp.nstr(value, 60) == mp.nstr(want, 60)
             assert abs(value - want) <= mp.mpf(10) ** -80 * abs(want)
+
+    def test_g6_quadratures_sum_the_constant_in_closed_form(self, monkeypatch):
+        # g6-scaling's three quadratures: each half walked 266-267 nodes while
+        # the constant part of E_{q^2}(u) was summed node by node
+        used = spy_node_counts(monkeypatch)
+        for g in (Fraction(1, 10), Fraction(1, 20), Fraction(1, 40)):
+            fj_numeric(g, Q_HALF, TruncationPolicy.floating(512), dps=60)
+        assert len(used) == 6 and max(used) <= 90
+
+    def test_budget_bound_value_has_the_digits_of_a_long_run(self, monkeypatch):
+        # the 544 nodes left 1.6e-14 of relative error while the constant was
+        # summed node by node: its unsummed tail was 16^544/17^543
+        used = spy_node_counts(monkeypatch)
+        q = QParam(Fraction(16, 17))
+        short = fj_numeric(Fraction(1, 64), q, TruncationPolicy.floating(544), dps=60)
+        long = fj_numeric(Fraction(1, 64), q, TruncationPolicy.floating(8192), dps=60)
+        assert used[:2] == [544, 544] and max(used[2:]) < 8192    # the long run stops
+        with mp.workdps(80):
+            assert abs(short - long) <= mp.mpf(10) ** -40 * long
 
     def test_guard_raises_where_no_refusal_is_proven(self, monkeypatch):
         # g = 1 lifts u above 0 at the outer nodes, so no |E| <= 1 floor holds
