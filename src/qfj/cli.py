@@ -25,7 +25,6 @@ RECORD_FIELDS = ("quantity", "inputs", "exact_value", "float_value",
                  "truncation_terms_used", "residual", "suite_pass")
 
 NUMERIC_CHECK_TOLERANCE = 1e-7
-EXACT_CQ_FAITHFUL_REL = 1e-13
 
 
 def _record(quantity, inputs, exact_value=None, float_value=None,
@@ -156,28 +155,6 @@ def _cq_sweep(args, policy: TruncationPolicy):
     return None, 0
 
 
-def _exact_cq_annotation(q: QParam, policy: TruncationPolicy, reference: float):
-    """Smallest exact truncated c(q) = r sqrt(1-q) that already matches the
-    full sum at float precision, as {"rational": r, "surd": "sqrt(1-q)"}, or
-    None when no compact faithful truncation exists.
-
-    Exact partial sums grow quadratically many digits with the term count, so
-    rungs stop at 64 terms; one whose fixed-point sum misses by twice the
-    bound is skipped."""
-    rungs = [terms for terms in (8, 12, 16, 24, 32, 48, 64) if terms <= policy.max_terms]
-    for terms, partial in zip(rungs, qgauss._interchanged_partials(q, rungs)):
-        if abs(partial - reference) > 2 * EXACT_CQ_FAITHFUL_REL * reference:
-            continue
-        result = qgauss.c_of_q(q, TruncationPolicy.exact(terms))
-        if abs(result.float_value - reference) >= EXACT_CQ_FAITHFUL_REL * reference:
-            continue
-        r = result.surd_value
-        if (r.numerator.bit_length() + r.denominator.bit_length()) * 0.302 < 4000:
-            return {"rational": _format_exact(r), "surd": "sqrt(1-q)"}
-        break
-    return None
-
-
 def _cmd_cq(args, q: QParam, policy: TruncationPolicy):
     if args.sweep:
         return _cq_sweep(args, policy)
@@ -195,7 +172,6 @@ def _cmd_cq(args, q: QParam, policy: TruncationPolicy):
     records.append(_record(
         "c_q",
         {"q": str(q), "method": "interchanged_sum", "max_terms": policy.max_terms},
-        exact_value=_exact_cq_annotation(q, policy, interchanged.float_value),
         float_value=interchanged.float_value,
         truncation_terms_used=interchanged.terms_used,
     ))

@@ -15,13 +15,12 @@ import math
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice
+from itertools import count
 from typing import NamedTuple
 
 from .errors import DomainError, TruncationError
 from .qcalc import (DEFAULT_POLICY, FLOAT_TAIL_TOLERANCE, E_q, TruncationPolicy, _QSeries,
-                    _finite, _qseries_backward, _qseries_exact, _qseries_logs,
-                    _qseries_scan)
+                    _finite, _qseries_backward, _qseries_exact, _qseries_scan)
 from .qcore import QParam, QScalar, as_fraction, index, q_double_factorial, QPolynomial
 
 PER_Q_CACHE_SIZE = 256  # entries in each per-q memo: a few q values' worth
@@ -103,15 +102,6 @@ def _interchanged_sum(qv: Fraction, needed: int, dps: int) -> Fraction:
     a, b = qv.numerator, qv.denominator
     root = math.isqrt(((b - a) << 2 * bits) // b)     # sqrt(1-q) at 2^bits
     return Fraction(2 * root * total >> bits, 1 << bits)
-
-
-def _interchanged_partials(q: QParam, rungs) -> list[float]:
-    """The c(q) partial sums of `terms` terms, for each `terms` in rungs, as
-    floats, in fixed point at 60 digits past the peak of their terms."""
-    if not rungs:
-        return []
-    peak = max(islice(_qseries_logs(_interchanged_series(q.value)), max(rungs)))
-    return [float(_interchanged_sum(q.value, terms, int(peak) + 60)) for terms in rungs]
 
 
 def _bounded_node_sum(nodes, budget: int, tol, what: str, refusal=None):

@@ -267,16 +267,22 @@ def g6_scaling(q: QParam, trunc: TruncationPolicy) -> CheckResult:
     c-blocks up to max_c = 36 at q = 1/2, carried to q by _series_max_c. They
     shrink like q^(2c), so |last block| q^2/(1-q^2) times g^m, over m = 0, 2, 4,
     bounds the series truncation at g; it must stay under a tenth of the residual.
+    The quadrature's rounding noise is near 10^-(dps+1), so dps keeps about 20
+    digits of it under |A6| (1/40)^6, the residual at the smallest g, and never
+    drops below 60.
     """
     import mpmath as mp
 
-    dps, max_c = 60, _series_max_c(q, 36)
+    max_c = _series_max_c(q, 36)
     q_sq = q.value ** 2
     rows = {}                       # m: (A_m, |last block|), each from one integer pass
     for m in (0, 2, 4):
         total, last, denominator = _summed_blocks(m // 2, q.value, max_c)
         rows[m] = Fraction(total, denominator), abs(Fraction(last, denominator))
     gs, errs, bounds = (Fraction(1, 10), Fraction(1, 20), Fraction(1, 40)), [], []
+    a6, _, denominator = _summed_blocks(3, q.value, max_c)
+    digits = math.log10(denominator) - math.log10(abs(a6)) - 6 * math.log10(gs[-1])
+    dps = max(60, math.ceil(digits) + 20)
     with mp.workdps(dps):
         for g in gs:
             exact = sum(coefficient * g ** m for m, (coefficient, _) in rows.items())

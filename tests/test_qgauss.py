@@ -485,7 +485,7 @@ class TestNodeKernelMemo:
                 assert (got[0].hex(), got[1]) == (want[0].hex(), want[1]), (qv, n)
 
     def test_budgets_keep_their_own_kernels(self):
-        # at 140/141 the outer node's kernel takes the mp fallback at 4512 and
+        # at 140/141 the outer node's kernel takes Euler's product at 4512 and
         # the reciprocal route at 8192, so the two entries differ there
         q = QParam(Fraction(140, 141))
         qgauss._node_kernels.clear()
