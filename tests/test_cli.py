@@ -13,8 +13,10 @@ from pathlib import Path
 import pytest
 
 from qfj.cli import _format_exact, main
-from qfj.errors import ResourceLimitError
-from qfj.qcore import QPolynomial
+from qfj.errors import ResourceLimitError, TruncationError
+from qfj.qcalc import TruncationPolicy
+from qfj.qcore import QParam, QPolynomial
+from qfj.qgauss import c_of_q
 
 
 def run_cli(*args, expect=0):
@@ -168,6 +170,28 @@ def test_every_exact_value_is_null_or_a_string(command, capsys):
     records = json_records(capsys.readouterr().out)
     assert records
     assert all(r["exact_value"] is None or isinstance(r["exact_value"], str) for r in records)
+
+
+@pytest.mark.parametrize("max_terms", [2048, 16])
+@pytest.mark.parametrize("qv", ["1/2", "3/4", "9/10", "19/20", "99/100", "999/1000"])
+def test_cq_prints_the_float_c_of_q_or_refuses_its_budget(qv, max_terms, capsys):
+    # the interchanged record is c_of_q's float route as is, never an exact
+    # partial sum; a budget the series cannot converge in is an error, exit 2
+    policy = TruncationPolicy.floating(max_terms)
+    status = main(["cq", "--q", qv, "--max-terms", str(max_terms), "--reproducible"])
+    out, err = capsys.readouterr()
+    try:
+        want = c_of_q(QParam(qv), policy)
+    except TruncationError as exc:
+        assert (status, out) == (2, "")
+        assert str(exc) in err
+        return
+    assert status == 0
+    record = next(r for r in json_records(out) if r["quantity"] == "c_q"
+                  and r["inputs"]["method"] == "interchanged_sum")
+    assert record["exact_value"] is None
+    assert record["float_value"] == want.float_value
+    assert record["truncation_terms_used"] == want.terms_used
 
 
 class TestPairingsCommand:
