@@ -1,10 +1,10 @@
 """Command line interface.
 
-Every command emits one line-delimited JSON record per result (or CSV with
---format csv). Records share a fixed schema so downstream tooling can parse
-any command's output the same way; fields that do not apply are null. With
---reproducible the output is byte-identical across runs: the only
-non-deterministic content, the timestamp envelope, is dropped.
+Every command but cq --sweep (a CSV table) emits one line-delimited JSON
+record per result, or CSV with --format csv. Records share a fixed schema so
+downstream tooling can parse any command's output the same way; fields that
+do not apply are null. --reproducible drops the timestamp envelope, the only
+non-deterministic content, so the output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def _emit_records(records, args) -> None:
-    if args.format == "json":
+    if args.format != "csv":
         lines = []
         if not args.reproducible:
             import datetime
@@ -142,6 +142,8 @@ def _cq_sweep(args, policy: TruncationPolicy):
             "with exact rational endpoints, like 0.5:0.99:10") from exc
     if count < 2:
         raise DomainError("sweep count must be at least 2")
+    if args.format == "json":
+        raise DomainError("--sweep writes CSV only; drop --format json")
     import csv
     buffer = io.StringIO()
     writer = csv.writer(buffer)
@@ -295,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default 1/2; decimals like 0.9 are read exactly)")
     shared.add_argument("--max-terms", type=int, default=512,
                         help="truncation budget for series and quadrature (default 512)")
-    shared.add_argument("--format", choices=("json", "csv"), default="json",
+    shared.add_argument("--format", choices=("json", "csv"), default=None,
                         help="output format (default json, line-delimited records)")
     shared.add_argument("--out", metavar="PATH", default=None,
                         help="write output to a file instead of stdout")

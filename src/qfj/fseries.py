@@ -279,58 +279,53 @@ def fj_coefficient_via_moments(m: int, q: QParam, max_c: int = 12) -> QScalar:
     return QScalar(total)
 
 
-def _fj_quadrature(integrand, g, q: QParam, qn, nu, budget: int, tol, less_one=False):
+def _fj_quadrature(integrand, g, q: QParam, qn, nu, budget: int, tol):
     """Jackson quadrature over [-nu, nu] of f(x) = E_{q^2}(u(x)),
     u(x) = -q^2 x^2/[2]_q + g x^3/[3]_q!, in the arithmetic of qn = q and nu
     (float or mpf): (1-q) nu times the halves sum_m q^m f(+-q^m nu), each
-    summed on its own, in node order, by _bounded_node_sum. With less_one,
-    integrand(x) is f(x) - 1 and each half starts at node 0 from the
-    constant's full sum 1/(1-q), so every partial sum is still the half's.
+    summed on its own, in node order, by _bounded_node_sum. integrand(x) is
+    f(x) - 1, and each half starts at node 0 from the constant's full sum
+    1/(1-q), so every partial sum is still the half's.
 
     Tail bound. Let a = q^2/[2]_q and b = |g|/[3]_q!. Then
     U(x) = a x^2 + b x^3 >= |u(+-x)|, and U increases in x. E_p has positive
-    coefficients c_j, so |E_p(u)| <= E_p(|u|), and E_p(y) <= e^y for y >= 0
-    because [k]_p >= k p^(k-1). So after node m a half's tail is at most
-    q^(m+1) e^(U(x_(m+1)))/(1-q). With less_one it is at most
-    q^(m+1) U e^U/(1-q) at the same U: c_(j+1) <= c_j gives
-    |E_p(u) - 1| <= |u| E_p(|u|). Only q^(m+1) is kept in the route's
-    arithmetic; the rest is a float (inf past float range), as a bound needs.
+    coefficients c_j with c_(j+1) <= c_j, so |E_p(u) - 1| <= |u| E_p(|u|),
+    and E_p(y) <= e^y for y >= 0 because [k]_p >= k p^(k-1). So after node m
+    a half's tail is at most w U e^U/(1-q), with w = q^(m+1) and
+    U = U(x_(m+1)) = w^2 nu^2 (a + b nu w) read from the weight alone. Only
+    w^3 is kept in the route's arithmetic, where it cannot underflow; the
+    rest is a float (inf past float range), as a bound needs, and a float a
+    that would underflow (q below about 1e-154) is raised to the least
+    subnormal, so no bound reads 0.
 
     Refusal. If b nu <= a, every u(+-x) is <= 0 and |u| <= U(nu) <= 2/(1-q^2).
     Then every factor 1 + (1-q^2) q^(2k) u of Euler's product for E_{q^2}(u)
-    lies in [-1, 1], so |E| <= 1 at every node. A half then sums to at most
-    1/(1-q) while its bound after M nodes is at least q^M/(1-q), so q^M is
-    a floor on tail/|sum|. With less_one each term q^m (E - 1) lies in
-    [-2 q^m, 0], so a partial sum from 1/(1-q) is still at most 1/(1-q) in
-    size, while the bound is at least q^M U(x_M)/(1-q) >= q^(3M) a nu^2/(1-q):
-    the floor is q^(3M) a nu^2. Without that condition no floor is known, and
-    the guard decides.
+    lies in [-1, 1], so each term q^m (E - 1) lies in [-2 q^m, 0] and a
+    partial sum from 1/(1-q) is at most 1/(1-q) in size, while the bound
+    after M nodes is at least q^M U(x_M)/(1-q) >= q^(3M) a nu^2/(1-q): the
+    floor on tail/|sum| is q^(3M) a nu^2 (far below 1e-11 wherever a is
+    raised). Without that condition no floor is known, and the guard decides.
     """
-    qf, gf = float(qn), float(g)
+    qf, gf, nu_f = float(qn), float(g), float(nu)
     bracket2, fact3 = _low_brackets(qf)
-    a, b, log_per_node = qf * qf / bracket2, abs(gf) / fact3, -math.log1p(-qf)
+    a, b, log_per_node = max(qf * qf / bracket2, 5e-324), abs(gf) / fact3, -math.log1p(-qf)
 
-    def tail_from(weight, x):
-        big_u = a * float(x) ** 2 + b * abs(float(x)) ** 3
-        y = big_u + log_per_node
-        bound = math.exp(y) if y < 709.0 else math.inf
-        return weight * (big_u * bound if less_one else bound)
-
-    seed = 1 / (1 - qn) if less_one else 0
+    def tail_from(weight):
+        w = float(weight)
+        rest = nu_f * nu_f * (a + b * nu_f * w)                 # U / w^2
+        y = w * w * rest + log_per_node
+        return weight ** 3 * (rest * math.exp(y) if y < 709.0 else math.inf)
 
     def nodes(x):
-        weight, term = 1, seed + integrand(x)
+        weight, term = 1, 1 / (1 - qn) + integrand(x)
         while True:
             weight *= qn
             x *= qn
-            yield term, tail_from(weight, x)
+            yield term, tail_from(weight)
             term = weight * integrand(x)
 
     floor = qn ** budget
-    refusal = None
-    if b * float(nu) <= a:
-        refusal = (floor ** 3 * a * nu * nu if less_one else floor,
-                   tail_from(floor, floor * nu))
+    refusal = (floor ** 3 * a * nu * nu, tail_from(floor)) if b * nu_f <= a else None
     what = f"Jackson sum of the I(g) integrand at g={gf!r}, q={q}"
     plus, minus = (_bounded_node_sum(nodes(start), budget, tol, what, refusal)[0]
                    for start in (nu, -nu))
@@ -376,7 +371,7 @@ def _fj_numeric_mp(g, q: QParam, trunc: TruncationPolicy, dps: int):
             return mp.mpf((total - (1 << bits), -bits))           # E_p(u) - 1
 
         node_cutoff = mp.mpf(10) ** (-(dps + 20))
-        integral = _fj_quadrature(integrand, gm, q, qm, nu_m, budget, node_cutoff, True)
+        integral = _fj_quadrature(integrand, gm, q, qm, nu_m, budget, node_cutoff)
         return integral * c_value.denominator / c_value.numerator
 
 
@@ -402,7 +397,7 @@ def fj_numeric(g, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY,
         value = E_q(u, q_sq, trunc)
         if not math.isfinite(value):
             raise EvaluationError(f"I(g) integrand at g={g!r}, q={q} is not finite at x={x!r}")
-        return value
+        return value - 1.0
 
     integral = _fj_quadrature(integrand, gf, q, qf, math.sqrt(float(1 / (1 - qv))),
                               trunc.max_terms, FLOAT_TAIL_TOLERANCE)

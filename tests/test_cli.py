@@ -76,6 +76,7 @@ def test_negative_order_exits_with_usage_error(args):
      "an exact sum of 64 series terms would take about 3251417 digits"),
     (("verify", "--q", "1e-400", "--suite", "series"), "rounds to 0.0 as a float"),
     (("cq", "--q", "1e-200"), "q=1/1" + "0" * 400 + " rounds to 0.0 as a float"),
+    (("cq", "--sweep", "1/2:3/4:2", "--format", "json"), "--sweep writes CSV only"),
 ])
 def test_bad_input_exits_with_one_error_line(args, phrase):
     # 1e-5000 exited 1 with a ValueError traceback from str(q), an
@@ -83,7 +84,8 @@ def test_bad_input_exits_with_one_error_line(args, phrase):
     # 1e-400 with a ZeroDivisionError from its A6 underflowing, and the exact
     # kernel at q = 1e-400 was still summing after minutes. At q = 1e-200
     # float c(q) runs, its scan taking log q^2 from integers since q^2 is 0.0
-    # as a float, and the double sum then refuses q^2
+    # as a float, and the double sum then refuses q^2. The sweep printed its
+    # CSV table under --format json
     proc = run_cli(*args, expect=2)
     assert proc.stdout == ""
     [line] = proc.stderr.splitlines()

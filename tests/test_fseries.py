@@ -469,9 +469,13 @@ class TestNumericEvaluation:
         # bit for bit: sharing _low_brackets with the series side must not
         # move a float of the independent oracle
         assert fj_numeric(0.05, Q_HALF).hex() == "0x1.0016427b5832bp+0"
-        assert fj_numeric(0.01, QParam(Fraction(3, 4))).hex() == "0x1.00023d968c574p+0"
+        # both sum E - 1 with the constant in closed form, which moved 3/4 from
+        # +1.9 to -0.1 ulp and 99/100 from -16.6 to +15.4 ulp of a 50-digit
+        # mpmath reference: E_{q^2}(u) = qp(-(1-q^2) u, q^2),
+        # c(q) = 2 sqrt(1-q) qp(q^2, q^2)/qp(q, q^2), nodes until q^m < 1e-45
+        assert fj_numeric(0.01, QParam(Fraction(3, 4))).hex() == "0x1.00023d968c572p+0"
         assert fj_numeric(0.01, QParam(Fraction(99, 100)), TruncationPolicy.floating(4096)
-                          ).hex() == "0x1.00017349dc540p+0"
+                          ).hex() == "0x1.00017349dc560p+0"
         with mp.workdps(60):
             assert mp.nstr(fj_numeric(Fraction(1, 20), Q_HALF, dps=60), 50) == (
                 "1.0003396559843148870930903407474041864705288587949")
@@ -510,13 +514,17 @@ class TestNumericEvaluation:
             gap = abs(fj_numeric(Fraction(1, 20), Q_HALF, dps=dps) - want)
             assert gap < mp.mpf(10) ** -(dps + 15)
 
-    @pytest.mark.parametrize("qv, budget", [(Fraction(1, 2), 512), (Fraction(9, 10), 2048)])
-    def test_normalized_integral_at_zero_coupling_is_one(self, qv, budget):
+    @pytest.mark.parametrize("qv, budget, dps", [
+        (Fraction(1, 2), 512, 60), (Fraction(9, 10), 2048, 60),
+        (Fraction(1, 10 ** 20), 512, 630),    # the tail underflowed: off by 1.0e-520
+        (Fraction(1, 10 ** 200), 512, 2300),  # a = q^2/[2]_q did: off by 1.0e-2200
+    ])
+    def test_normalized_integral_at_zero_coupling_is_one(self, qv, budget, dps):
         # I(0) = 1 exactly; c(q) cut at the default 1e-45 left -1.4e-55 and
         # -5.2e-50 here
-        with mp.workdps(100):
-            value = fj_numeric(0, QParam(qv), TruncationPolicy.floating(budget), dps=60)
-            assert abs(value - 1) < mp.mpf(10) ** -75
+        with mp.workdps(dps + 40):
+            value = fj_numeric(0, QParam(qv), TruncationPolicy.floating(budget), dps=dps)
+            assert abs(value - 1) < mp.mpf(10) ** -(dps + 15)
 
     def test_q_whose_square_underflows_runs_at_high_precision(self):
         # q^2 and so the outer-node argument are 0.0 as floats (a scan from
@@ -526,14 +534,18 @@ class TestNumericEvaluation:
             value = fj_numeric(Fraction(1, 10), QParam(Fraction(1, 10 ** 200)), dps=60)
             assert abs(value - 1) < mp.mpf(10) ** -75
 
-    @pytest.mark.parametrize("g, qv, budget, dps, tail", [
-        (0.01, Fraction(99, 100), 512, None, "5.834e-01"),        # was 0.9535
-        (Fraction(1, 100), Fraction(99, 100), 512, 60, "9.747e-04"),  # was 5.834e-01
-        (0.0, Fraction(409, 410), 4096, None, "1.857e-02"),       # was 1.07e-46
-        (0.01, Fraction(16, 17), 64, None, "3.522e-01"),          # was 0.9317
+    @pytest.mark.parametrize("g, qv, budget, tail", [
+        # float and dps=60 printed 5.834e-01 and 9.747e-04, 1.857e-02 and
+        # 7.779e-09, 3.522e-01 and 1.166e-03 while float summed the constant
+        # node by node
+        (Fraction(1, 100), Fraction(99, 100), 512, "9.747e-04"),
+        (Fraction(0), Fraction(409, 410), 4096, "7.779e-09"),
+        (Fraction(1, 100), Fraction(16, 17), 64, "1.166e-03"),
     ])
+    @pytest.mark.parametrize("dps", [None, 60])
     def test_short_budget_is_refused_before_any_integrand(self, monkeypatch, g, qv,
-                                                           budget, dps, tail):
+                                                           budget, tail, dps):
+        # both routes share one rule, so each budget is refused with one tail
         calls = []
         monkeypatch.setattr(fseries, "E_q", lambda *args: calls.append(args))
         monkeypatch.setattr(fseries, "_qseries_forward", lambda *args: calls.append(args))
@@ -663,10 +675,12 @@ class TestNumericEvaluation:
         monkeypatch.setattr(fseries, "E_q",
                             lambda *args: calls.append(args) or original(*args))
         q = QParam(Fraction(3, 4))
-        with pytest.raises(TruncationError, match=r"tail bounded by 4\.036e-08 after 64"):
-            fj_numeric(1.0, q, TruncationPolicy.floating(64))
-        assert len(calls) == 64
-        assert fj_numeric(1.0, q, TruncationPolicy.floating(128)) == pytest.approx(
+        with pytest.raises(TruncationError, match=r"tail bounded by 5\.203e-09 after 24"):
+            fj_numeric(1.0, q, TruncationPolicy.floating(24))
+        assert len(calls) == 24
+        # 64 nodes left a tail of 4.036e-08 while the constant was summed
+        # node by node
+        assert fj_numeric(1.0, q, TruncationPolicy.floating(64)) == pytest.approx(
             1.3668281698878, abs=1e-12)
 
     def test_overflowing_integrand_raises_at_once(self):

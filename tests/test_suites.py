@@ -10,9 +10,10 @@ from qfj.qcore import QParam
 
 
 # near q = 0, A6 g^6 sinks under dps=60's rounding noise (|A6| is about 1e-90
-# at 1/1000), so the check sizes dps from A6 there
+# at 1/1000), so the check sizes dps from A6 there; at 1e-20 the quadrature's
+# tail bound underflowed to 0 and its halves stopped 3 nodes short
 @pytest.mark.parametrize("qv", [Fraction(1, 2), Fraction(3, 4), Fraction(1, 100),
-                                Fraction(1, 1000)])
+                                Fraction(1, 1000), Fraction(1, 10 ** 20)])
 def test_g6_scaling_passes_on_an_untruncated_series(qv):
     result = suites.g6_scaling(QParam(qv), DEFAULT_POLICY)
     assert result.passed
