@@ -182,7 +182,7 @@ def _integer_blocks(d: int, qv: Fraction, max_c: int):
 
 def _series_indices(m: int, max_c: int) -> int:
     """m, once m and max_c are checked as indices: the arguments of every
-    g^m coefficient summed over c <= max_c, here and in the graph sum."""
+    g^m coefficient summed over c <= max_c."""
     index(max_c, "max_c")
     return index(m, "m")
 

@@ -91,6 +91,11 @@ def _interchanged_c_mp(qv: Fraction, max_terms: int, extra_dps: int = 0) -> tupl
     return _interchanged_sum(qv, needed, max(30, int(peak) + 60) + extra_dps), needed
 
 
+def _sqrt_one_minus(qv: Fraction, bits: int) -> int:
+    """sqrt(1-q) at 2^-bits, rounded down: the isqrt of (1-q) 4^bits."""
+    return math.isqrt(((qv.denominator - qv.numerator) << 2 * bits) // qv.denominator)
+
+
 @lru_cache(maxsize=PER_Q_CACHE_SIZE)
 def _interchanged_sum(qv: Fraction, needed: int, dps: int) -> Fraction:
     """The first `needed` terms of the c(q) series, times 2 sqrt(1-q), as
@@ -99,9 +104,7 @@ def _interchanged_sum(qv: Fraction, needed: int, dps: int) -> Fraction:
     Keyed by the exact q: two q with the same float have different sums."""
     prec = round((dps + 1) * 3.3219280948873626)   # mpmath's bits for dps digits
     total, bits = _qseries_backward(_interchanged_series(qv), prec, needed)
-    a, b = qv.numerator, qv.denominator
-    root = math.isqrt(((b - a) << 2 * bits) // b)     # sqrt(1-q) at 2^bits
-    return Fraction(2 * root * total >> bits, 1 << bits)
+    return Fraction(2 * _sqrt_one_minus(qv, bits) * total >> bits, 1 << bits)
 
 
 def _bounded_node_sum(nodes, budget: int, tol, what: str, refusal=None):
@@ -140,41 +143,10 @@ def _bounded_node_sum(nodes, budget: int, tol, what: str, refusal=None):
     return total, budget
 
 
-class _NodeKernels:
-    """Float kernel values at the Jackson nodes x_m^2 = q^(2m) nu^2, one
-    array('d') per (exact q, budget): E_q picks its route from the budget,
-    and a float64 round-trips the array exactly. At most `max_doubles` values
-    are held in all; the least recently fetched entries make room, and an
-    entry that alone fills the bound stops growing.
-    """
-
-    def __init__(self, max_doubles: int):
-        self.max_doubles = max_doubles
-        self.entries: dict[tuple[Fraction, int], array] = {}
-        self.doubles = 0
-
-    def clear(self) -> None:
-        self.entries.clear()
-        self.doubles = 0
-
-    def entry(self, q: QParam, budget: int) -> array:
-        key = (q.value, budget)
-        values = self.entries.pop(key, None) or array("d")
-        self.entries[key] = values      # most recently fetched last
-        return values
-
-    def store(self, values: array, kernel: float) -> float:
-        while self.doubles >= self.max_doubles:
-            oldest = next(iter(self.entries))
-            if self.entries[oldest] is values:
-                return kernel
-            self.doubles -= len(self.entries.pop(oldest))
-        values.append(kernel)
-        self.doubles += 1
-        return kernel
-
-
-_node_kernels = _NodeKernels(NODE_KERNEL_DOUBLES)
+# float kernels at the Jackson nodes x_m^2 = q^(2m) nu^2, one array('d') per
+# (exact q, budget): E_q picks its route from the budget, and a float64
+# round-trips the array exactly. _node_sum keeps at most NODE_KERNEL_DOUBLES.
+_node_kernels: dict[tuple[Fraction, int], array] = {}
 
 
 def _node_sum(n: int, q: QParam, trunc: TruncationPolicy):
@@ -192,8 +164,11 @@ def _node_sum(n: int, q: QParam, trunc: TruncationPolicy):
     support, so after M nodes it is at least d^M of the sum). Every n steps
     through the same x_m^2, so each node's kernel_eval_x2 is evaluated once
     per process per (exact q, budget) and read back from _node_kernels by
-    every later sum; the entry is fetched when the first node is drawn, so a
-    refused budget touches no memo, and it grows only as far as a sum reads.
+    every later sum. The store is read when the first node is drawn, so a
+    refused budget touches nothing, and an entry grows only as far as a sum
+    reads. A new key whose budget would take the store past
+    NODE_KERNEL_DOUBLES empties it first, and an entry grows only into the
+    room left when its sum starts, so the store never holds more.
     """
     budget = trunc.max_terms
     if trunc.is_exact:
@@ -207,11 +182,20 @@ def _node_sum(n: int, q: QParam, trunc: TruncationPolicy):
     nu2 = 1 / (1 - qv)
 
     def nodes():
-        kernels = _node_kernels.entry(q, budget)
+        key, held = (q.value, budget), sum(map(len, _node_kernels.values()))
+        if key not in _node_kernels and held + budget > NODE_KERNEL_DOUBLES:
+            _node_kernels.clear()
+            held = 0
+        kernels = _node_kernels.setdefault(key, array("d"))
+        room = NODE_KERNEL_DOUBLES - held + len(kernels)    # the most this entry holds
         weight, x2 = 1, nu2
         for m in count():
-            kernel = (kernels[m] if m < len(kernels) else
-                      _node_kernels.store(kernels, kernel_eval_x2(x2, q, trunc)))
+            if m < len(kernels):
+                kernel = kernels[m]
+            else:
+                kernel = kernel_eval_x2(x2, q, trunc)
+                if m < room:
+                    kernels.append(kernel)
             envelope = weight * x2 ** n
             yield envelope * kernel, envelope * decay / (1 - decay)
             weight *= qv
@@ -232,7 +216,8 @@ def c_of_q(q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY,
     verification oracle that integrates the kernel node by node. Float mode of
     the interchanged route runs in adaptive precision because of cancellation
     near q = 1; the double sum has positive terms and stays in float64. Exact
-    mode sums both by kernel term; its float_value is inf only past float range.
+    mode sums both by kernel term; its float_value is r sqrt(1-q) rounded once,
+    and inf only past float range.
     """
     if method not in _METHODS:
         raise DomainError(f"method must be one of {_METHODS}, got {method!r}")
@@ -247,13 +232,12 @@ def c_of_q(q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY,
         return NormalizationResult(None, float(value), method, used)
     if not trunc.is_exact:
         return NormalizationResult(None, 2.0 * math.sqrt(1.0 - q.as_float) * total, method, used)
-    r, rest = QScalar(2 * total), 1 - qv
-    if abs(r) < 1e300 and rest > 1e-300:
-        value = float(r) * math.sqrt(float(rest))
-    else:   # from the exact r^2 (1-q), where float(r) or float(1-q) fails
-        from decimal import Decimal
-        y = r * r * rest
-        value = float((Decimal(y.numerator) / y.denominator).sqrt()) * (-1 if r < 0 else 1)
+    # sqrt(1-q) within 2^-80 of itself, then one correctly rounded int division
+    r, bits = QScalar(2 * total), 80 + qv.denominator.bit_length()
+    try:
+        value = r.numerator * _sqrt_one_minus(qv, bits) / (r.denominator << bits)
+    except OverflowError:
+        value = math.inf if r > 0 else -math.inf
     return NormalizationResult(r, value, method, used)
 
 

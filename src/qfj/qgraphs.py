@@ -15,7 +15,6 @@ import itertools
 from fractions import Fraction
 
 from .errors import DomainError, ValidationError
-from .fseries import _series_indices
 from .pairings import OrderedPairing, iter_pairings, weight, weight_exponent_counts
 from .qcore import (Frozen, QParam, QPolynomial, QScalar, binomial, index, q_bracket,
                     q_factorial, q_squared_factorial)
@@ -117,7 +116,8 @@ def graph_sum_coefficient(m: int, q: QParam, max_c: int = 4) -> QScalar:
     Matches fj_coefficient(m, q, max_c) exactly term by term when both use
     the same max_c. Odd m has no graphs (odd flag count cannot be paired).
     """
-    if _series_indices(m, max_c) % 2 == 1:
+    index(max_c, "max_c")
+    if index(m, "m") % 2 == 1:
         raise DomainError(
             f"g^{m} has no graphs: 2c+3m is odd, so the flags cannot be paired")
     return QScalar(sum(graph_block_value(c, m, k, q)

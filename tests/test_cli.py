@@ -77,6 +77,8 @@ def test_negative_order_exits_with_usage_error(args):
     (("verify", "--q", "1e-400", "--suite", "series"), "rounds to 0.0 as a float"),
     (("cq", "--q", "1e-200"), "q=1/1" + "0" * 400 + " rounds to 0.0 as a float"),
     (("cq", "--sweep", "1/2:3/4:2", "--format", "json"), "--sweep writes CSV only"),
+    (("cq", "--sweep", "1/2:3/4"), "cannot parse sweep '1/2:3/4'; expected start:stop:count"),
+    (("cq", "--sweep", "1/2:3/4:1"), "sweep count must be at least 2"),
 ])
 def test_bad_input_exits_with_one_error_line(args, phrase):
     # 1e-5000 exited 1 with a ValueError traceback from str(q), an
@@ -149,6 +151,10 @@ class TestNormalizationCommand:
         rows = list(csv.DictReader(io.StringIO(proc.stdout)))
         assert rows[0]["quantity"] == "c_q"
         assert rows[0]["float_value"] == "2.3216190317117911"
+        # a boolean cell reads true or false
+        proc = run_cli("verify", "--suite", "pairings", "--format", "csv", "--reproducible")
+        rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+        assert rows and {row["suite_pass"] for row in rows} == {"true"}
 
     def test_out_writes_file(self, tmp_path):
         target = tmp_path / "cq.jsonl"

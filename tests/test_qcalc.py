@@ -117,11 +117,18 @@ class TestJacksonIntegral:
         assert r.value == Fraction(2, 3)
         assert r.terms_used == 0
         assert r.residual == 0
+        # a float bound integrates in floats, and the result converts to float
+        r = jackson_integral(linear, 1.0, Q_HALF, TruncationPolicy.exact(64))
+        assert (r.value, r.terms_used, r.residual) == (1.0 / 1.5, 0, 0.0)
+        assert float(r) == 1.0 / 1.5
 
-    def test_callable_float_route_agrees_with_closed_form(self):
+    def test_callable_routes_agree_with_closed_form(self):
         r = jackson_integral(lambda x: x * x, 1.0, Q_HALF, DEFAULT_POLICY)
         assert r.value == pytest.approx(4 / 7, rel=1e-12)
         assert r.terms_used > 0
+        # exact mode sums the full budget in Fractions: 4/7 less its tail past 8 nodes
+        r = jackson_integral(lambda x: x * x, Fraction(1), Q_HALF, TruncationPolicy.exact(8))
+        assert (r.value, r.terms_used) == (Fraction(4, 7) * (1 - Fraction(1, 8) ** 8), 8)
 
     def test_callable_sums_past_a_zero_integrand_value(self):
         # f(1/4) = 0 at node 2; a relative-term stop ended there, at 0.4375

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import count, islice
 
@@ -66,6 +67,16 @@ def node_by_node_float(n: int, q: QParam, trunc: TruncationPolicy):
         weight *= qv
         x2 *= qv * qv
     return total, trunc.max_terms
+
+
+def rounded_c(r: Fraction, qv: Fraction) -> float:
+    """float(r sqrt(1-q)) from the exact r^2 (1-q) at 80 digits, r's sign kept:
+    the reference for exact mode's float_value."""
+    y = r * r * (1 - qv)
+    with localcontext() as context:
+        context.prec = 80
+        root = float((Decimal(y.numerator) / y.denominator).sqrt())
+    return root if r >= 0 else -root
 
 
 def interchanged_terms(qv):
@@ -245,12 +256,19 @@ class TestNormalization:
             2.321619031711791, rel=1e-14)
 
     def test_exact_mode_returns_surd(self):
-        # c(q) = r sqrt(1-q): surd_value is r, float_value is c(q) from r's float
+        # c(q) = r sqrt(1-q): surd_value is r, float_value is r sqrt(1-q) rounded once
         r = c_of_q(Q_HALF, TruncationPolicy.exact(48))
         assert isinstance(r.surd_value, QScalar)
-        want = float(r.surd_value) * math.sqrt(1 - float(Q_HALF.value))
-        assert r.float_value.hex() == want.hex()
+        assert r.float_value.hex() == rounded_c(r.surd_value, Q_HALF.value).hex()
         assert r.float_value == pytest.approx(c_of_q(Q_HALF).float_value, rel=1e-13)
+
+    def test_exact_float_value_is_correctly_rounded(self):
+        # 641 of these 2,168 were 1 or 2 ulp off when r and sqrt(1-q) were rounded apart
+        for b in range(3, 60):
+            for qv in (Fraction(a, b) for a in range(1, b) if math.gcd(a, b) == 1):
+                for M in (4, 16):
+                    result = c_of_q(QParam(qv), TruncationPolicy.exact(M))
+                    assert result.float_value == rounded_c(result.surd_value, qv), (qv, M)
 
     def test_float_mode_has_no_surd(self):
         assert c_of_q(Q_HALF, DEFAULT_POLICY).surd_value is None
@@ -290,7 +308,7 @@ class TestNormalization:
             c_of_q(QParam(Fraction(999, 1000)), TruncationPolicy.floating(2048),
                    "double_sum")
         assert calls == []
-        assert qgauss._node_kernels.entries == {}
+        assert qgauss._node_kernels == {}
 
     @pytest.mark.parametrize("text", ["1e-400", "0.99999999999999999999"])
     def test_q_whose_float_is_0_or_1_is_refused_by_float_routes_only(self, text):
@@ -491,7 +509,7 @@ class TestNodeKernelMemo:
         qgauss._node_kernels.clear()
         warm = {budget: [qgauss._node_sum(n, q, TruncationPolicy.floating(budget))[0].hex()
                          for n in (2, 0)] for budget in (4512, 8192)}
-        outer = {budget: qgauss._node_kernels.entry(q, budget)[0] for budget in warm}
+        outer = {budget: qgauss._node_kernels[q.value, budget][0] for budget in warm}
         for budget in warm:
             trunc = TruncationPolicy.floating(budget)
             assert outer[budget] == kernel_eval_x2(1 / (1 - q.as_float), q, trunc)
@@ -500,16 +518,22 @@ class TestNodeKernelMemo:
             assert warm[budget] == cold, budget
         assert outer[4512] != outer[8192]
 
-    def test_bound_evicts_the_oldest_then_stops_growing(self):
-        memo = qgauss._NodeKernels(4)
-        first, second = memo.entry(Q_HALF, 8), memo.entry(Q_HALF, 9)
-        for kernel in (0.5, 0.25):
-            assert memo.store(first, kernel) == kernel
-        for kernel in (0.125, 0.0625, 0.03125, 0.015625):
-            assert memo.store(second, kernel) == kernel
-        assert list(memo.entries.values()) == [second]
-        assert memo.store(second, 0.0078125) == 0.0078125   # computed, not stored
-        assert (second.tolist(), memo.doubles) == ([0.125, 0.0625, 0.03125, 0.015625], 4)
+    def test_a_full_store_stops_growing_and_a_new_key_empties_it(self, monkeypatch):
+        monkeypatch.setattr(qgauss, "NODE_KERNEL_DOUBLES", 40)
+        qgauss._node_kernels.clear()
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        held = []
+        for qv, n, budget in ((half, 5, 16), (half, 2, 16), (third, 2, 16), (third, 1, 16),
+                              (half, 0, 64), (half, 0, 64), (third, 2, 16)):
+            q, trunc = QParam(qv), TruncationPolicy.floating(budget)
+            got, want = qgauss._node_sum(n, q, trunc), node_by_node_float(n, q, trunc)
+            assert (got[0].hex(), got[1]) == (want[0].hex(), want[1]), (qv, n, budget)
+            held.append({key: len(kernels) for key, kernels in qgauss._node_kernels.items()})
+        assert held == [
+            {(half, 16): 10}, {(half, 16): 16},                 # grows as far as a sum reads
+            {(half, 16): 16, (third, 16): 13}, {(half, 16): 16, (third, 16): 16},
+            {(half, 64): 40}, {(half, 64): 40},     # emptied for a budget of 64, full at 40
+            {(third, 16): 13}]                      # a new key past the bound empties it
 
 
 class TestExactSums:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qfj import fseries, qgraphs
 from qfj.errors import DomainError, ResourceLimitError, ValidationError
 from qfj.fseries import fj_coefficient, fj_term
 from qfj.pairings import OrderedPairing
@@ -141,3 +142,10 @@ class TestAggregates:
     def test_odd_order_has_no_graphs(self):
         with pytest.raises(DomainError):
             graph_sum_coefficient(3, Q_HALF)
+
+    def test_graph_route_imports_nothing_from_the_series_route(self):
+        # the two routes share no code, argument checks included
+        assert [name for name, value in vars(qgraphs).items()
+                if value is fseries or getattr(value, "__module__", None) == fseries.__name__] == []
+        with pytest.raises(DomainError, match="m must be non-negative and an integer, got 2.5"):
+            graph_sum_coefficient(2.5, Q_HALF)
