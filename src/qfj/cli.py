@@ -232,7 +232,7 @@ def _cmd_series(args, q: QParam, policy: TruncationPolicy):
     code = 0
     if args.check == "numeric":
         h = 5e-3
-        estimate = suites.g2_by_finite_difference(q, policy, h)
+        estimate = fseries.g2_by_finite_difference(q, policy, h)
         target = float(fseries.fj_coefficient(2, q, args.max_c))
         err = abs(estimate - target)
         passed = err < NUMERIC_CHECK_TOLERANCE

@@ -4,7 +4,7 @@ perturbative series I(g).
 
 Everything coefficient-level is exact rational arithmetic; the only floats are
 in fj_numeric, the end-to-end quadrature oracle that never touches the series
-formulas it is used to check.
+formulas it is used to check, and in the finite difference taken of it.
 """
 
 from __future__ import annotations
@@ -37,18 +37,16 @@ class LambdaTable(Frozen):
         return QScalar(self.values.get((c, d), 0))
 
 
-def _bracket_product(qv: Fraction, exponents) -> Fraction:
-    """prod [n]_q over the given n, at the rational q, with [n]_q = (1-q^n)/(1-q).
-
-    With q = a/b each bracket is (b^n - a^n) / (b^(n-1) (b - a)), so the
-    product is two integer products and one normalization.
-    """
+def _bracket_parts(qv: Fraction, exponents) -> tuple[int, int]:
+    """prod [n]_q over the given n at q = a/b, with [n]_q = (1-q^n)/(1-q), as
+    (numerator, denominator): each bracket is (b^n - a^n) / (b^(n-1) (b - a)),
+    so the product is two integer products, not normalized."""
     a, b = qv.numerator, qv.denominator
     numerator = denominator = 1
     for n in exponents:
         numerator *= b ** n - a ** n
         denominator *= b ** (n - 1) * (b - a)
-    return Fraction(numerator, denominator)
+    return numerator, denominator
 
 
 def _low_brackets(qv):
@@ -61,7 +59,7 @@ def _low_brackets(qv):
 @lru_cache(maxsize=PER_Q_CACHE_SIZE)
 def _qsq_factorial_at(m: int, qv: Fraction) -> Fraction:
     """[m]_{q^2}! at qv; equals q_squared_factorial(m).eval(qv)."""
-    return _bracket_product(qv * qv, range(1, m + 1))
+    return Fraction(*_bracket_parts(qv ** 2, range(1, m + 1)))
 
 
 def _lambda_sum(c: int, d: int, qv: Fraction) -> Fraction:
@@ -112,7 +110,7 @@ def lambda_oracle(max_c: int, max_d: int, q: QParam) -> LambdaTable:
 def _ddf_at(j: int, qv: Fraction) -> Fraction:
     """[2j-1]!!_q = [1]_q [3]_q ... [2j-1]_q at qv; equals
     q_double_factorial(j).eval(qv)."""
-    return _bracket_product(qv, range(1, 2 * j, 2))
+    return Fraction(*_bracket_parts(qv, range(1, 2 * j, 2)))
 
 
 def fj_term(c: int, k: int, d: int, q: QParam) -> Fraction:
@@ -120,18 +118,24 @@ def fj_term(c: int, k: int, d: int, q: QParam) -> Fraction:
 
     (-1)^k C(2d+k,k) q^((2d+k)(2d+k-1)+2c) [2(c+3d)-1]!!_q
     / ([2]_q^c ([3]_q!)^(2d) [2d+k]_{q^2}! [c-k]_{q^2}!).
+
+    At q = a/b, with [2]_q = (a+b)/b and [3]_q! = (a+b)(a^2+ab+b^2)/b^3, the
+    term is two integer products and one normalization.
     """
     index(d, "d")
     if index(k, "k") > index(c, "c"):
         raise DomainError(f"need k <= c, got c={c}, k={k}")
     qv = q.value
-    bracket2, fact3 = _low_brackets(qv)
-    numerator = (Fraction((-1) ** k * math.comb(2 * d + k, k))
-                 * qv ** ((2 * d + k) * (2 * d + k - 1) + 2 * c)
-                 * _ddf_at(c + 3 * d, qv))
-    denominator = (bracket2 ** c * fact3 ** (2 * d)
-                   * _qsq_factorial_at(2 * d + k, qv) * _qsq_factorial_at(c - k, qv))
-    return numerator / denominator
+    a, b = qv.numerator, qv.denominator
+    shift = (2 * d + k) * (2 * d + k - 1) + 2 * c
+    ddf_n, ddf_d = _bracket_parts(qv, range(1, 2 * (c + 3 * d), 2))
+    slots_n, slots_d = _bracket_parts(qv ** 2, range(1, 2 * d + k + 1))
+    rest_n, rest_d = _bracket_parts(qv ** 2, range(1, c - k + 1))
+    numerator = ((-1) ** k * math.comb(2 * d + k, k) * a ** shift * ddf_n
+                 * b ** (c + 6 * d) * slots_d * rest_d)
+    denominator = (b ** shift * ddf_d * (a + b) ** (c + 2 * d)
+                   * (a * a + a * b + b * b) ** (2 * d) * slots_n * rest_n)
+    return Fraction(numerator, denominator)
 
 
 def _integer_blocks(d: int, qv: Fraction, max_c: int):
@@ -403,3 +407,11 @@ def fj_numeric(g, q: QParam, trunc: TruncationPolicy = DEFAULT_POLICY,
                               trunc.max_terms, FLOAT_TAIL_TOLERANCE)
     c_value = c_of_q(q, trunc, "interchanged_sum").float_value
     return integral / c_value
+
+
+def g2_by_finite_difference(q: QParam, trunc: TruncationPolicy, h: float) -> float:
+    """The g^2 coefficient of I(g) from the central second difference of
+    fj_numeric at g = 0 with step h; the error is O(h^2)."""
+    stencil = (fj_numeric(h, q, trunc) - 2.0 * fj_numeric(0.0, q, trunc)
+               + fj_numeric(-h, q, trunc))
+    return stencil / (2.0 * h * h)

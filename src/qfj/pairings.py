@@ -73,13 +73,15 @@ def iter_pairings(n: int) -> Iterator[OrderedPairing]:
 
     Always pairing the smallest unpaired element first makes a_1 = 1 and the
     sorted-left-endpoint invariant hold by construction, and yields each
-    pairing exactly once.
+    pairing exactly once, so each is built without OrderedPairing's checks.
     """
     _check_n(n)
 
     def rec(available: tuple[int, ...], acc: tuple[tuple[int, int], ...]):
         if not available:
-            yield OrderedPairing(acc)
+            pairing = object.__new__(OrderedPairing)
+            pairing._set(acc)
+            yield pairing
             return
         a = available[0]
         rest = available[1:]

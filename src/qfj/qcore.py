@@ -1,8 +1,8 @@
 """Exact scalars, polynomials in q, and the basic q-combinatorial quantities.
 
-Everything here is big-rational arithmetic (fractions.Fraction). Floats enter
-only when the caller evaluates at a float point; nothing in this module
-rounds on its own.
+Everything here is exact (fractions.Fraction); polynomial products and values
+at rational points are summed in integers and normalized once. Floats enter
+only when the caller evaluates at a float point; nothing here rounds on its own.
 """
 
 from __future__ import annotations
@@ -203,17 +203,23 @@ class QPolynomial(Frozen):
     def __rsub__(self, other):
         return self._coerce(other) + (-self)
 
+    def _integers(self) -> tuple[list[int], int]:
+        """(numerators, L): the coefficients over their common denominator L."""
+        denominator = math.lcm(*(c.denominator for c in self.coefficients))
+        return [c.numerator * (denominator // c.denominator)
+                for c in self.coefficients], denominator
+
     def __mul__(self, other):
         other = self._coerce(other)
         if self.is_zero() or other.is_zero():
             return QPolynomial.zero()
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return QPolynomial(tuple(out))
+        (left, d_left), (right, d_right) = self._integers(), other._integers()
+        out = [0] * (len(left) + len(right) - 1)
+        for i, a in enumerate(left):
+            if a:
+                for j, b in enumerate(right, i):
+                    out[j] += a * b
+        return QPolynomial([Fraction(n, d_left * d_right) for n in out])
 
     __rmul__ = __mul__
 
@@ -239,21 +245,25 @@ class QPolynomial(Frozen):
         return hash(self.coefficients)
 
     def eval(self, point):
-        """Evaluate by Horner. Exact at Fraction/int points, float at floats."""
+        """Evaluate by Horner. Float at floats; exact at Fraction/int points a/b,
+        as sum n_i a^i b^(m-i) / (L b^m), m the degree, summed in integers."""
         if isinstance(point, QParam):
             point = point.value
         if not self.coefficients:
             return 0.0 if isinstance(point, float) else Fraction(0)
-        acc = self.coefficients[-1]
         if isinstance(point, float):
-            acc = float(acc)
+            acc = float(self.coefficients[-1])
             for c in reversed(self.coefficients[:-1]):
                 acc = acc * point + float(c)
             return acc
         point = as_fraction(point, "evaluation point")
-        for c in reversed(self.coefficients[:-1]):
-            acc = acc * point + c
-        return acc
+        a, b = point.numerator, point.denominator
+        numerators, denominator = self._integers()
+        acc, b_power = numerators[-1], 1
+        for n in reversed(numerators[:-1]):
+            b_power *= b
+            acc = acc * a + n * b_power
+        return Fraction(acc, denominator * b_power)
 
     __call__ = eval
 

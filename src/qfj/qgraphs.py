@@ -103,8 +103,8 @@ def graph_block_value(c: int, dprime: int, k: int, q: QParam) -> Fraction:
     slots = dprime + k
     denominator = (q_bracket(2).eval(qv) ** c
                    * q_factorial(3).eval(qv) ** dprime
-                   * q_squared_factorial(slots).eval(qv)
-                   * q_squared_factorial(c - k).eval(qv))
+                   * q_factorial(slots).eval(qv ** 2)
+                   * q_factorial(c - k).eval(qv ** 2))
     numerator = (Fraction((-1) ** k * binomial(slots, k))
                  * qv ** shift * pairing_sum)
     return numerator / denominator

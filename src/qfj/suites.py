@@ -17,7 +17,7 @@ from . import SUITE_NAMES
 from .errors import DomainError, TruncationError
 from .fseries import (_summed_blocks, fj_blocks, fj_coefficient,
                       fj_coefficient_via_moments, fj_numeric, fj_series, fj_term,
-                      lambda_closed_form, lambda_oracle)
+                      g2_by_finite_difference, lambda_closed_form, lambda_oracle)
 from .pairings import (OrderedPairing, enumerate_pairings, weight,
                        weight_exponent_counts, weighted_pairing_sum)
 from .qcalc import (DEFAULT_POLICY, E_q, TruncationPolicy, XPoly, e_q,
@@ -57,14 +57,6 @@ def _series_max_c(q: QParam, base: int) -> int:
     while q_sq ** max_c > bound and max_c < MAX_C_CAP:
         max_c += 1
     return max_c
-
-
-def g2_by_finite_difference(q: QParam, trunc: TruncationPolicy, h: float) -> float:
-    """The g^2 coefficient of I(g) from the central second difference of
-    fj_numeric at g = 0 with step h; the error is O(h^2)."""
-    stencil = (fj_numeric(h, q, trunc) - 2.0 * fj_numeric(0.0, q, trunc)
-               + fj_numeric(-h, q, trunc))
-    return stencil / (2.0 * h * h)
 
 
 def q_derivative_product_rule(q: QParam, trunc: TruncationPolicy) -> CheckResult:
@@ -268,8 +260,7 @@ def g6_scaling(q: QParam, trunc: TruncationPolicy) -> CheckResult:
     shrink like q^(2c), so |last block| q^2/(1-q^2) times g^m, over m = 0, 2, 4,
     bounds the series truncation at g; it must stay under a tenth of the residual.
     The quadrature's rounding noise is near 10^-(dps+1), so dps keeps about 20
-    digits of it under |A6| (1/40)^6, the residual at the smallest g, and never
-    drops below 60.
+    digits of it under |A6| (1/40)^6, the residual at the smallest g.
     """
     import mpmath as mp
 
@@ -282,7 +273,7 @@ def g6_scaling(q: QParam, trunc: TruncationPolicy) -> CheckResult:
     gs, errs, bounds = (Fraction(1, 10), Fraction(1, 20), Fraction(1, 40)), [], []
     a6, _, denominator = _summed_blocks(3, q.value, max_c)
     digits = math.log10(denominator) - math.log10(abs(a6)) - 6 * math.log10(gs[-1])
-    dps = max(60, math.ceil(digits) + 20)
+    dps = math.ceil(digits) + 20
     with mp.workdps(dps):
         for g in gs:
             exact = sum(coefficient * g ** m for m, (coefficient, _) in rows.items())

@@ -247,6 +247,22 @@ class TestSeriesCoefficients:
         with pytest.raises(DomainError):
             fj_term(-1, 0, 0, Q_HALF)
 
+    @given(st.fractions(min_value=0, max_value=1, max_denominator=1000)
+           .filter(lambda x: 0 < x < 1),
+           st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6),
+           st.integers(min_value=0, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_term_is_its_printed_formula(self, qv, c, k, d):
+        # fj_term's integer route against its docstring, in Fraction arithmetic
+        # from the polynomial definitions
+        k = min(k, c)
+        n = 2 * d + k
+        want = ((-1) ** k * math.comb(n, k) * qv ** (n * (n - 1) + 2 * c)
+                * q_double_factorial(c + 3 * d).eval(qv)
+                / ((1 + qv) ** c * q_factorial(3).eval(qv) ** (2 * d)
+                   * q_squared_factorial(n).eval(qv) * q_squared_factorial(c - k).eval(qv)))
+        assert fj_term(c, k, d, QParam(qv)) == want
+
     def test_second_order_reference_value(self):
         got = float(fj_coefficient(2, Q_HALF, 12).rational_part)
         assert got == pytest.approx(0.13586216253446884, rel=1e-15)
@@ -393,10 +409,11 @@ class TestEvaluatedProducts:
         assert fseries._qsq_factorial_at(n, qv) == q_squared_factorial(n).eval(qv)
 
     def test_per_q_caches_are_bounded(self, monkeypatch):
-        # 40 fresh q values need 1,000 _ddf_at entries at c <= 24
+        # 40 fresh q values need 1,000 entries of each at n <= 24
         for b in range(1009, 1049):
-            for c in range(25):
-                fj_term(c, 0, 2, QParam(Fraction(b - 1000, b)))
+            for n in range(25):
+                fseries._ddf_at(n, Fraction(b - 1000, b))
+                fseries._qsq_factorial_at(n, Fraction(b - 1000, b))
         # and 300 fresh q values need 300 mp c(q) sums
         for b in range(2, 302):
             qgauss._interchanged_c_mp(Fraction(1, b), 64)

@@ -99,6 +99,13 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError):
             enumerate_pairings(pairings.DEFAULT_LIMIT + 1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_enumerated_pairings_pass_the_constructor_checks(self, n):
+        # iter_pairings builds its pairings past OrderedPairing.__init__
+        for p in iter_pairings(n):
+            assert OrderedPairing(p.pairs) == p
+            assert type(p) is OrderedPairing and p.n == n
+
     @given(st.integers(min_value=1, max_value=5))
     @settings(max_examples=10, deadline=None)
     def test_every_pairing_opens_with_smallest_unpaired(self, n):

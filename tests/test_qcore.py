@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from qfj.errors import DomainError, ValidationError
@@ -216,6 +216,32 @@ class TestQScalar:
         assert all(type(value) is Fraction for value in values)
 
 
+# coefficients of every kind: zero, negative, non-integral and of large height
+coefficients = st.one_of(
+    st.just(0),
+    st.integers(min_value=-10 ** 40, max_value=10 ** 40),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.builds(Fraction, st.integers(min_value=-10 ** 40, max_value=10 ** 40),
+              st.integers(min_value=1, max_value=10 ** 40)))
+coefficient_lists = st.lists(coefficients, max_size=7)
+exact_points = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.fractions(min_value=-2, max_value=2, max_denominator=1000),
+    st.builds(Fraction, st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+              st.integers(min_value=1, max_value=10 ** 30)))
+
+
+def fraction_product(a, b):
+    """The coefficients of the product, summed in Fraction arithmetic."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
 class TestQPolynomial:
     def test_trailing_zeros_stripped(self):
         p = QPolynomial((Fraction(1), Fraction(0), Fraction(0)))
@@ -250,6 +276,31 @@ class TestQPolynomial:
         a = q_bracket(3)
         b = q_bracket(4)
         assert (a * b).eval(qv) == a.eval(qv) * b.eval(qv)
+
+    @given(coefficient_lists, coefficient_lists, exact_points)
+    @settings(max_examples=200, deadline=None)
+    def test_product_and_eval_match_plain_fractions(self, a, b, point):
+        # the integer convolution and Horner against Fraction arithmetic
+        p, r = QPolynomial(a), QPolynomial(b)
+        product = p * r
+        assert product.coefficients == fraction_product(p.coefficients, r.coefficients)
+        assert all(type(c) is Fraction for c in product.coefficients)
+        for poly in (p, r, product):
+            value = poly.eval(point)
+            assert type(value) is Fraction
+            assert value == sum((c * Fraction(point) ** i
+                                 for i, c in enumerate(poly.coefficients)), Fraction(0))
+
+    @given(coefficient_lists, st.floats(min_value=-4, max_value=4))
+    @settings(max_examples=200, deadline=None)
+    def test_eval_at_floats_is_the_float_horner(self, coefficients, point):
+        poly = QPolynomial(coefficients)
+        want = 0.0
+        if poly.coefficients:
+            want = float(poly.coefficients[-1])
+            for c in reversed(poly.coefficients[:-1]):
+                want = want * point + float(c)
+        assert poly.eval(point).hex() == want.hex()
 
 
 @pytest.mark.parametrize("n, coeffs", [

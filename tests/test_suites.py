@@ -20,6 +20,24 @@ def test_g6_scaling_passes_on_an_untruncated_series(qv):
     assert result.detail == "residual ratios under g -> g/2: 64.0, 64.0 (want ~64)"
 
 
+@pytest.mark.parametrize("qv, budget, dps, detail", [
+    (Fraction(1, 2), 512, 40, "64.0, 64.0"),
+    (Fraction(3, 4), 512, 34, "64.0, 64.0"),
+    (Fraction(99, 100), 4096, 30, "66.4, 64.6"),
+])
+def test_g6_scaling_runs_at_the_precision_its_residual_needs(monkeypatch, qv, budget,
+                                                             dps, detail):
+    # dps is 20 + the digits of 1/(|A6| (1/40)^6), below 60 at all three
+    seen = []
+    original = suites.fj_numeric
+    monkeypatch.setattr(suites, "fj_numeric",
+                        lambda *args, dps: seen.append(dps) or original(*args, dps=dps))
+    result = suites.g6_scaling(QParam(qv), TruncationPolicy.floating(budget))
+    assert seen == [dps] * 3
+    assert result == (
+        "g6-scaling", True, f"residual ratios under g -> g/2: {detail} (want ~64)")
+
+
 def test_g6_scaling_refuses_a_residual_the_truncation_contaminates():
     # at 9/10 the max_c cap of 60 leaves a series error of about 7e-11 in the
     # g = 1/40 residual of 1.6e-10, whose ratios 61.3 and 38.2 would pass
