@@ -6,14 +6,11 @@ needed grows like 1/(1-q); budgets below are sized accordingly.
 """
 
 import argparse
-import math
 from fractions import Fraction
 
 from qfj.qcalc import TruncationPolicy
 from qfj.qcore import QParam
-from qfj.qgauss import c_of_q
-
-SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+from qfj.qgauss import SQRT_TWO_PI, c_of_q
 
 GRID = [
     (Fraction(1, 2), 512),

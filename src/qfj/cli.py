@@ -39,8 +39,6 @@ def _format_exact(value, hint=None):
     `hint` when one is given."""
     if value is None:
         return None
-    if not isinstance(value, (int, Fraction, QPolynomial)):
-        raise TypeError(f"cannot format {value!r} as an exact value")
     try:
         return str(value)
     except ValueError:
@@ -57,16 +55,6 @@ def _match_record(quantity, inputs, graph, series):
     return _record(quantity, inputs, exact_value=_format_exact(graph),
                    float_value=float(graph), residual=abs(float(graph) - float(series)),
                    suite_pass=graph == series)
-
-
-def _parse_q(text: str) -> QParam:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(
-            f"cannot parse q={text!r}; give an exact rational like 1/2 or 0.9"
-        ) from exc
-    return QParam(value)
 
 
 def _csv_cell(value):
@@ -92,6 +80,15 @@ def _write_output(text: str, out_path: str | None) -> None:
         raise DomainError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
 
 
+def _write_csv(header, rows, out_path: str | None) -> None:
+    import csv
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_output(buffer.getvalue(), out_path)
+
+
 def _emit_records(records, args) -> None:
     if args.format != "csv":
         lines = []
@@ -105,13 +102,8 @@ def _emit_records(records, args) -> None:
             lines.append(json.dumps(record, separators=(",", ":")))
         _write_output("".join(line + "\n" for line in lines), args.out)
     else:
-        import csv
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(RECORD_FIELDS)
-        for record in records:
-            writer.writerow([_csv_cell(record[field]) for field in RECORD_FIELDS])
-        _write_output(buffer.getvalue(), args.out)
+        _write_csv(RECORD_FIELDS, ([_csv_cell(record[field]) for field in RECORD_FIELDS]
+                                   for record in records), args.out)
 
 
 def _cmd_moments(args, q: QParam, policy: TruncationPolicy):
@@ -144,16 +136,10 @@ def _cq_sweep(args, policy: TruncationPolicy):
         raise DomainError("sweep count must be at least 2")
     if args.format == "json":
         raise DomainError("--sweep writes CSV only; drop --format json")
-    import csv
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["q", f"c_q[max_terms={policy.max_terms}]", "sqrt_2pi"])
-    for i in range(count):
-        qv = start + (stop - start) * i / (count - 1)
-        result = qgauss.c_of_q(QParam(qv), policy)
-        writer.writerow([f"{float(qv):.17g}", f"{result.float_value:.17g}",
-                         f"{qgauss.SQRT_TWO_PI:.17g}"])
-    _write_output(buffer.getvalue(), args.out)
+    qs = [start + (stop - start) * i / (count - 1) for i in range(count)]
+    _write_csv(["q", f"c_q[max_terms={policy.max_terms}]", "sqrt_2pi"],
+               ([f"{float(qv):.17g}", f"{qgauss.c_of_q(QParam(qv), policy).float_value:.17g}",
+                 f"{qgauss.SQRT_TWO_PI:.17g}"] for qv in qs), args.out)
     return None, 0
 
 
@@ -358,7 +344,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        q = _parse_q(args.q)
+        q = QParam(args.q)
         policy = TruncationPolicy(max_terms=args.max_terms)
         records, code = args.func(args, q, policy)
         if records is not None:

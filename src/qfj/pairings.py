@@ -58,9 +58,9 @@ class OrderedPairing(Frozen):
         return "".join(f"({a},{b})" for a, b in self.pairs) or "()"
 
 
-def _check_n(n: int, low: int = 1) -> int:
-    """n, once it is an index >= low within the enumeration limit."""
-    if index(n, "n", low) > DEFAULT_LIMIT:
+def _check_n(n: int) -> int:
+    """n, once it is an index within the enumeration limit."""
+    if index(n, "n") > DEFAULT_LIMIT:
         raise ResourceLimitError(
             f"n={n} exceeds the enumeration limit {DEFAULT_LIMIT} "
             f"({2 * DEFAULT_LIMIT} elements, "
@@ -74,6 +74,7 @@ def iter_pairings(n: int) -> Iterator[OrderedPairing]:
     Always pairing the smallest unpaired element first makes a_1 = 1 and the
     sorted-left-endpoint invariant hold by construction, and yields each
     pairing exactly once, so each is built without OrderedPairing's checks.
+    n = 0 yields the empty pairing, once.
     """
     _check_n(n)
 
@@ -127,8 +128,7 @@ def weight_exponent_counts(n: int) -> Mapping[int, int]:
     this enumeration exists to check. Cached per n; n = 0 gives the
     empty-pairing histogram {0: 1}.
     """
-    if _check_n(n, 0) == 0:
-        return MappingProxyType({0: 1})
+    _check_n(n)
     # memo[mask] = histogram as a list: entry w counts the ways to finish
     # pairing the elements of mask with weight exponent w
     memo: dict[int, list[int]] = {0: [1]}

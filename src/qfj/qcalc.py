@@ -370,7 +370,10 @@ def _E_q_float_fallback(x: float, q: QParam, trunc: TruncationPolicy) -> float:
     below that is refused before any factor is formed.
     """
     budget, one_minus_q = trunc.max_terms, float(1 - q.value)
-    log_q, log_t0 = math.log1p(-one_minus_q), math.log(-x) + math.log(one_minus_q)
+    a, b = q.value.as_integer_ratio()
+    # once 1 - q rounds to 1.0, log1p(-1.0) fails: log q from q's integers
+    log_q = math.log1p(-one_minus_q) if one_minus_q < 1 else math.log(a) - math.log(b)
+    log_t0 = math.log(-x) + math.log(one_minus_q)
 
     def cost(j):   # j factors and the tail terms after them, as a real
         log_t = log_t0 + j * log_q
@@ -383,7 +386,7 @@ def _E_q_float_fallback(x: float, q: QParam, trunc: TruncationPolicy) -> float:
     if needed > budget:
         raise TruncationError(f"E_q product at x={x!r}, q={q} needs about {needed} terms, "
                               f"budget is {budget}; raise max_terms")
-    (a, b), (num, den) = q.value.as_integer_ratio(), x.as_integer_ratio()
+    num, den = x.as_integer_ratio()
     one = 1 << (bits := 128 + b.bit_length())
     t = ((b - a) * -num << bits) // (b * den)     # -y_0 at 2^bits
     mantissa, exponent = one, -bits

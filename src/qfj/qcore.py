@@ -234,14 +234,7 @@ class QPolynomial(Frozen):
             n >>= 1
         return out
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self._coerce(other)
-        if isinstance(other, QPolynomial):
-            return self.coefficients == other.coefficients
-        return NotImplemented
-
-    def __hash__(self):
+    def __hash__(self):   # == is Frozen's, so a polynomial equals only a polynomial
         return hash(self.coefficients)
 
     def eval(self, point):
@@ -292,8 +285,6 @@ class QPolynomial(Frozen):
     def compose_power(self, k: int) -> "QPolynomial":
         """Substitute q -> q^k at the polynomial level."""
         index(k, "k", 1)
-        if self.is_zero():
-            return self
         out = [Fraction(0)] * (self.degree * k + 1)
         for i, c in enumerate(self.coefficients):
             out[i * k] = c

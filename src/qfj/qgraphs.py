@@ -64,8 +64,7 @@ def enumerate_graphs(c: int, dprime: int, k: int) -> list[GraphEncoding]:
     aggregate graph_block_value walks the same pairing set without building
     the objects.
     """
-    flags = _block_flags(c, dprime, k)
-    pairing_list = list(iter_pairings(flags // 2)) if flags else [OrderedPairing(())]
+    pairing_list = list(iter_pairings(_block_flags(c, dprime, k) // 2))
     sigmas = list(itertools.combinations(range(1, dprime + k + 1), k))
     return [GraphEncoding(c, dprime, k, sigma, pairing)
             for sigma in sigmas for pairing in pairing_list]

@@ -17,7 +17,7 @@ from . import SUITE_NAMES
 from .errors import DomainError, TruncationError
 from .fseries import (_summed_blocks, fj_blocks, fj_coefficient,
                       fj_coefficient_via_moments, fj_numeric, fj_series, fj_term,
-                      g2_by_finite_difference, lambda_closed_form, lambda_oracle)
+                      lambda_closed_form, lambda_oracle)
 from .pairings import (OrderedPairing, enumerate_pairings, weight,
                        weight_exponent_counts, weighted_pairing_sum)
 from .qcalc import (DEFAULT_POLICY, E_q, TruncationPolicy, XPoly, e_q,

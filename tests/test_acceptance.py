@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from qfj import suites
-from qfj.fseries import fj_coefficient
+from qfj.fseries import fj_coefficient, g2_by_finite_difference
 from qfj.qcalc import DEFAULT_POLICY, TruncationPolicy
 from qfj.qcore import QParam
 
@@ -102,7 +102,7 @@ def test_c09_finite_difference_oracle(capsys):
     with criterion(capsys, 9, 30.0, "finite-difference curvature of the numeric "
                             "integral reproduces the g^2 coefficient at O(h^2)"):
         target = float(fj_coefficient(2, Q_HALF, 20).rational_part)
-        errors = [abs(suites.g2_by_finite_difference(Q_HALF, DEFAULT_POLICY, h) - target)
+        errors = [abs(g2_by_finite_difference(Q_HALF, DEFAULT_POLICY, h) - target)
                   for h in (1e-2, 5e-3)]
         assert errors[0] > errors[1]
         ratio = errors[0] / errors[1]

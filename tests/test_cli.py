@@ -79,6 +79,8 @@ def test_negative_order_exits_with_usage_error(args):
     (("cq", "--sweep", "1/2:3/4:2", "--format", "json"), "--sweep writes CSV only"),
     (("cq", "--sweep", "1/2:3/4"), "cannot parse sweep '1/2:3/4'; expected start:stop:count"),
     (("cq", "--sweep", "1/2:3/4:1"), "sweep count must be at least 2"),
+    (("moments", "--q", "abc"), "cannot read 'abc' as an exact rational q"),
+    (("pairings", "--q", "1/0"), "cannot read '1/0' as an exact rational q"),
 ])
 def test_bad_input_exits_with_one_error_line(args, phrase):
     # 1e-5000 exited 1 with a ValueError traceback from str(q), an
@@ -92,6 +94,17 @@ def test_bad_input_exits_with_one_error_line(args, phrase):
     assert proc.stdout == ""
     [line] = proc.stderr.splitlines()
     assert line.startswith("qfj: error: ") and phrase in line
+
+
+def test_verify_far_below_the_float_q_range_fails_its_checks_without_a_traceback():
+    # Euler's product took log q as log1p(-1.0) once 1 - q rounded to 1.0,
+    # so this exited 1 with a ValueError traceback
+    proc = run_cli("verify", "--suite", "series", "--q", "1e-20", "--max-terms", "1",
+                   "--reproducible", expect=1)
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines and all(line.startswith("qfj verify: FAIL ") for line in lines)
+    assert any("E_q product" in line and "needs about 2 terms" in line for line in lines)
 
 
 class TestMoments:
@@ -211,6 +224,14 @@ class TestPairingsCommand:
         summed = next(r for r in records if r["quantity"] == "weighted_pairing_sum")
         closed = next(r for r in records if r["quantity"] == "q_double_factorial")
         assert summed["exact_value"] == closed["exact_value"] == "1 + q + q^2"
+
+    def test_zero_pairs_list_the_empty_pairing(self):
+        # --n 0 exited 0 but --n 0 --list exited 2: iter_pairings refused n = 0
+        proc = run_cli("pairings", "--n", "0", "--list", "--reproducible")
+        records = json_records(proc.stdout)
+        [empty] = [r for r in records if r["quantity"] == "pairing_weight"]
+        assert empty["inputs"]["pairing"] == "()" and empty["exact_value"] == "1"
+        assert [r["exact_value"] for r in records[1:]] == ["1", "1"]
 
     def test_sum_flag_is_gone(self):
         # the weighted sum records are always emitted; --sum is not an option

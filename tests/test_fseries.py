@@ -476,6 +476,11 @@ class TestNumericEvaluation:
     def test_even_in_the_coupling(self):
         assert fj_numeric(0.05, Q_HALF) == fj_numeric(-0.05, Q_HALF)
 
+    def test_runs_where_one_minus_q_rounds_to_one(self):
+        # the kernel's Euler product took log q as log1p(-1.0): math domain error
+        value = fj_numeric(0.01, QParam("1e-20"), TruncationPolicy.floating(8))
+        assert value == pytest.approx(1.0, abs=1e-12)   # the series: 1 + 1e-44
+
     def test_matches_series_at_small_coupling(self):
         series_val = fj_series(6, Q_HALF, max_c=16).eval(0.05)
         assert fj_numeric(0.05, Q_HALF) == pytest.approx(series_val, abs=1e-10)

@@ -87,9 +87,15 @@ class TestEnumeration:
         got = [str(p) for p in enumerate_pairings(2)]
         assert got == ["(1,2)(3,4)", "(1,3)(2,4)", "(1,4)(2,3)"]
 
-    def test_size_zero_is_rejected(self):
+    def test_size_zero_is_the_empty_pairing(self):
+        # as weight_exponent_counts(0) and weighted_pairing_sum(0) already were
+        [empty] = iter_pairings(0)
+        assert empty == OrderedPairing(()) and str(empty) == "()"
+        assert enumerate_pairings(0) == [empty]
+        assert weight(empty) == QPolynomial.one() == weighted_pairing_sum(0)
+        assert dict(weight_exponent_counts(0)) == {0: 1}
         with pytest.raises(DomainError):
-            list(iter_pairings(0))
+            list(iter_pairings(-1))
 
     def test_default_limit_guards_blowup(self):
         with pytest.raises(ResourceLimitError):

@@ -334,7 +334,14 @@ class TestLargeQExponential:
         assert E_q(-5.0, Q_HALF, TruncationPolicy.floating(16)) == pytest.approx(
             float(E_q(Fraction(-5), Q_HALF, TruncationPolicy.exact(64))), rel=1e-14)
 
+    @pytest.mark.parametrize("x", [-2.0, -1e20])
+    def test_product_below_the_float_q_range_takes_log_q_from_integers(self, x):
+        # 1 - q rounds to 1.0, where log1p(-1.0) raised "math domain error";
+        # the first factor crosses zero and the second is about 1/|x|
+        assert E_q(x, QParam(Fraction(1, 10 ** 20)), DEFAULT_POLICY) == -1.0
+
     @pytest.mark.parametrize("x, qv, budget, needed", [
+        (-1e20, Fraction(1, 10 ** 20), 2, 3),
         (-5.0, Fraction(1, 2), 8, 16),
         (-25.0, Fraction(16, 17), 32, 59),
         (-1e6, Fraction(9999, 10000), 4096, 53051),

@@ -270,6 +270,22 @@ class TestQPolynomial:
     def test_compose_power_substitutes_q_square(self):
         p = q_bracket(2)  # 1 + q
         assert p.compose_power(2).coefficients == (Fraction(1), Fraction(0), Fraction(1))
+        assert QPolynomial.zero().compose_power(3) == QPolynomial.zero()
+
+    @pytest.mark.parametrize("poly, scalar", [
+        (QPolynomial.one(), 1), (QPolynomial.one(), Fraction(1)),
+        (QPolynomial.zero(), 0), (QPolynomial.monomial(0, 3), Fraction(3)),
+    ])
+    def test_a_polynomial_equals_no_scalar(self, poly, scalar):
+        # one() == 1 held while the two hashed differently
+        assert poly != scalar and scalar != poly
+        assert len({poly, scalar}) == 2
+
+    @given(coefficient_lists, st.integers(min_value=0, max_value=3))
+    def test_equal_polynomials_hash_equal(self, coefficients, zeros):
+        p = QPolynomial(coefficients)
+        r = QPolynomial([Fraction(c) for c in coefficients] + [0] * zeros)
+        assert p == r and hash(p) == hash(r) and len({p, r}) == 1
 
     @given(q_values)
     def test_product_evaluation_commutes(self, qv):
